@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FitResult, least_squares_fit
-from .patchrace import ExploitCurveParams, exploit_availability
+from .patchrace import (
+    ExploitCurveParams,
+    WeibullParams,
+    exploit_availability,
+    patch_developed_cdf,
+)
 from .vulndisc import PowerLawTester, expected_discoveries
 
 
@@ -45,20 +50,20 @@ class DelayHistogram:
     counts: tuple[float, ...]
 
     def __post_init__(self):
-        edges = tuple(float(e) for e in self.bin_edges)
-        counts = tuple(float(c) for c in self.counts)
+        edges = np.asarray(self.bin_edges, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
         if len(edges) < 2:
             raise ValueError("need at least two bin edges")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
         if len(counts) != len(edges) - 1:
             raise ValueError(
                 f"got {len(counts)} counts for {len(edges) - 1} bins"
             )
-        if any(c < 0 or not math.isfinite(c) for c in counts):
+        if np.any((counts < 0) | ~np.isfinite(counts)):
             raise ValueError("counts must be finite and >= 0")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "bin_edges", tuple(edges.tolist()))
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
     @property
     def total(self) -> float:
@@ -73,26 +78,26 @@ def fit_weibull_cdf(samples: list[CdfSample]) -> FitResult:
     """
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
-    ordered = sorted(samples, key=lambda s: s.t)
-    fracs = [s.fraction for s in ordered]
-    if any(b < a for a, b in zip(fracs, fracs[1:])):
+    t, frac = np.array([(s.t, s.fraction) for s in samples]).T
+    order = np.argsort(t, kind="stable")
+    t, frac = t[order], frac[order]
+    if np.any(np.diff(frac) < 0):
         raise ValueError("cumulative fractions must be non-decreasing in t")
-    interior = [s for s in ordered if 0.0 < s.fraction < 1.0]
-    if len(interior) < 3:
+    interior = (frac > 0.0) & (frac < 1.0)
+    if np.count_nonzero(interior) < 3:
         raise ValueError(
             "need at least 3 samples with fractions strictly inside (0, 1)"
         )
 
-    def model(params, t):
-        shape, scale = params
-        return -math.expm1(-((t / scale) ** shape))
+    def model(params, ts):
+        return patch_developed_cdf(WeibullParams(*params), ts)
 
     # start at the exponential special case, scale near the 63.2% point
-    t632 = min(interior, key=lambda s: abs(s.fraction - 0.632)).t
+    t632 = t[interior][np.argmin(np.abs(frac[interior] - 0.632))]
     initial = [1.0, max(t632, 1e-6)]
     bounds = [(0.05, 20.0), (1e-6, 1e6)]
-    data = [(s.t, s.fraction) for s in ordered if s.t > 0]
-    return least_squares_fit(model, data, initial, bounds)
+    positive = t > 0
+    return least_squares_fit(model, np.column_stack((t[positive], frac[positive])), initial, bounds)
 
 
 def estimate_power_law_c(s_count: float, t1: float, t2: float, alpha: float) -> float:
@@ -113,11 +118,6 @@ def estimate_beta(t_ref: float, fraction: float) -> float:
     return -math.log1p(-fraction) / t_ref
 
 
-def _curve_increments(hist: DelayHistogram, curve: ExploitCurveParams) -> np.ndarray:
-    vals = np.array([exploit_availability(curve, e) for e in hist.bin_edges])
-    return np.diff(vals)
-
-
 def fit_exploit_total(hist: DelayHistogram, curve: ExploitCurveParams) -> FitResult:
     """One-parameter least squares: the total vulnerability count N such that
     N * (availability-curve increments across the bin edges) best matches the
@@ -129,7 +129,7 @@ def fit_exploit_total(hist: DelayHistogram, curve: ExploitCurveParams) -> FitRes
     counts = np.array(hist.counts)
     if hist.total <= 0:
         raise ValueError("histogram has no events (all counts zero)")
-    inc = _curve_increments(hist, curve)
+    inc = np.diff(exploit_availability(curve, np.array(hist.bin_edges)))
     denom = float(inc @ inc)
     if denom == 0:
         raise ValueError("availability curve is flat across every bin")
@@ -160,22 +160,17 @@ def reference_patch_dev_samples(t_max: int = 120) -> list[CdfSample]:
     """Synthetic development-delay CDF at t = 1..t_max days, generated from
     the baseline Weibull parameters. Stands in for the empirical timeline
     points, which are not redistributable."""
-    shape, scale = REFERENCE_WEIBULL
-    return [
-        CdfSample(float(t), -math.expm1(-((t / scale) ** shape)))
-        for t in range(1, t_max + 1)
-    ]
+    ts = np.arange(1.0, t_max + 1)
+    fractions = patch_developed_cdf(WeibullParams(*REFERENCE_WEIBULL), ts)
+    return [CdfSample(t, f) for t, f in zip(ts.tolist(), fractions.tolist())]
 
 
 def reference_exploit_histogram() -> DelayHistogram:
     """Synthetic exploit-delay histogram: 160 events spread over one-day bins
     exactly proportionally to the availability-curve increments."""
-    edges = tuple(float(d) for d in range(REFERENCE_EXPLOIT_SUPPORT_DAYS + 1))
-    curve = ExploitCurveParams()
-    vals = np.array([exploit_availability(curve, e) for e in edges])
-    inc = np.diff(vals)
-    counts = REFERENCE_EXPLOIT_EVENTS * inc / vals[-1]
-    return DelayHistogram(edges, tuple(counts))
+    edges = np.arange(REFERENCE_EXPLOIT_SUPPORT_DAYS + 1.0)
+    vals = exploit_availability(ExploitCurveParams(), edges)
+    return DelayHistogram(edges, REFERENCE_EXPLOIT_EVENTS * np.diff(vals) / vals[-1])
 
 
 # ---------------------------------------------------------------------------

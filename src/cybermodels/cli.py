@@ -261,35 +261,22 @@ def _figures(outdir: Path) -> None:
     # fig4: synthetic development-delay reference points and their refit
     samples = calibration.reference_patch_dev_samples()
     fit = calibration.fit_weibull_cdf(samples)
-    fitted = patchrace.WeibullParams(fit.params[0], fit.params[1])
-    ts = np.array([s.t for s in samples])
+    fitted = patchrace.WeibullParams(*fit.params)
+    ts, fractions = np.array([(s.t, s.fraction) for s in samples]).T
     _merge_series(
         "t",
         ts,
-        {
-            "fraction": np.array([s.fraction for s in samples]),
-            "fitted_cdf": np.array([patchrace.patch_developed_cdf(fitted, t) for t in ts]),
-        },
+        {"fraction": fractions, "fitted_cdf": patchrace.patch_developed_cdf(fitted, ts)},
         "days",
     ).write_csv(outdir / "fig4.csv")
 
     # fig5: patch-available fraction over all vulnerabilities
     ts = np.arange(0.0, 120.5, 0.5)
-    _merge_series(
-        "t",
-        ts,
-        {
-            "patch_available_fraction": np.array(
-                [
-                    patchrace.patch_developed_all_vulns(
-                        race.dev, race.pre_disclosure_patch_fraction, t
-                    )
-                    for t in ts
-                ]
-            )
-        },
-        "days",
-    ).write_csv(outdir / "fig5.csv")
+    pre = race.pre_disclosure_patch_fraction
+    available = patchrace.patch_developed_all_vulns(race.dev, pre, ts)
+    _merge_series("t", ts, {"patch_available_fraction": available}, "days").write_csv(
+        outdir / "fig5.csv"
+    )
 
     # fig6: development, deployment, and total-delay CDFs
     sweep = patchrace.race_sweep(race)

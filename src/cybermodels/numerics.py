@@ -67,6 +67,17 @@ class FitResult:
             raise ValueError("residual (sum of squared errors) cannot be negative")
 
 
+def raise_at_first(bad, message: str, **values) -> None:
+    """Raise ValueError(message) at the first True element of ``bad``, each
+    ``{name}`` in the message filled from ``values`` at that element (values
+    broadcast against ``bad``), so an element-wise check names what failed."""
+    bad = np.asarray(bad)
+    if bad.any():
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        at_first = {name: np.broadcast_to(v, bad.shape)[i] for name, v in values.items()}
+        raise ValueError(message.format(**at_first))
+
+
 def integrate_trapezoid(f: Callable[[float], float], grid: Grid) -> float:
     """Trapezoid-rule approximation of the integral of ``f`` over the grid span."""
     xs = grid.nodes()
@@ -94,7 +105,7 @@ def argmax_int(f: Callable[[int], float], lo: int, hi: int) -> tuple[int, float]
 
 
 def least_squares_fit(
-    model: Callable[[np.ndarray, float], float],
+    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
     data: Sequence[tuple[float, float]],
     initial: Sequence[float],
     bounds: Sequence[tuple[float, float]],
@@ -102,17 +113,17 @@ def least_squares_fit(
 ) -> FitResult:
     """Minimize sum((model(params, x) - y)^2) over box-bounded params.
 
-    ``model`` is called as model(params, x) -> prediction. Runs N_STARTS
-    Nelder-Mead searches (the supplied initial point plus jittered copies) and
-    keeps the best; the returned residual is never worse than the residual at
-    ``initial``.
+    ``model`` is vectorized: each evaluation is one call model(params, xs)
+    with the whole array of x values, returning the array of predictions.
+    Runs N_STARTS Nelder-Mead searches (the supplied initial point plus
+    jittered copies) and keeps the best; the returned residual is never worse
+    than the residual at ``initial``.
     """
     x0 = np.asarray(initial, dtype=float)
     n_params = x0.size
     if len(bounds) != n_params:
         raise ValueError(f"got {len(bounds)} bounds for {n_params} parameters")
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    lo, hi = np.asarray(bounds, dtype=float).T
     if np.any(lo > hi):
         raise ValueError("each bound must satisfy lo <= hi")
     if np.any(x0 < lo) or np.any(x0 > hi):
@@ -121,11 +132,10 @@ def least_squares_fit(
     if len(data) < min_points:
         raise ValueError(f"need at least {min_points} data points, got {len(data)}")
 
-    xs = np.array([p[0] for p in data], dtype=float)
-    ys = np.array([p[1] for p in data], dtype=float)
+    xs, ys = np.asarray(data, dtype=float).T
 
     def sse(params: np.ndarray) -> float:
-        preds = np.array([model(params, x) for x in xs], dtype=float)
+        preds = np.broadcast_to(np.asarray(model(params, xs), dtype=float), xs.shape)
         if not np.all(np.isfinite(preds)):
             bad = int(np.argmax(~np.isfinite(preds)))
             raise ValueError(

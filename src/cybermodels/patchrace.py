@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Grid
+from .numerics import Grid, raise_at_first
 from .series import CurveSeries
 
 
@@ -157,14 +157,14 @@ def weibull_pdf(p: WeibullParams, t: float) -> float:
     return p.shape / p.scale_days * z ** (p.shape - 1.0) * math.exp(-(z**p.shape))
 
 
-def patch_developed_cdf(p: WeibullParams, t: float) -> float:
-    """Fraction of post-disclosure patches developed within t days."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return -math.expm1(-((t / p.scale_days) ** p.shape))
+def patch_developed_cdf(p: WeibullParams, t):
+    """Fraction of post-disclosure patches developed within t days (t a float
+    or an array)."""
+    raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
+    return -np.expm1(-((t / p.scale_days) ** p.shape))
 
 
-def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t: float) -> float:
+def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t):
     """Patch-available fraction over all vulnerabilities: the pre-disclosure
     share plus the Weibull share of the rest."""
     if not 0.0 <= pre_frac <= 1.0:
@@ -172,61 +172,68 @@ def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t: float) -> fl
     return pre_frac + (1.0 - pre_frac) * patch_developed_cdf(p, t)
 
 
-def patch_deployed_cdf(d: DeploymentParams, t: float) -> float:
+def _deployed_cdf(rate: float, t):
+    return -np.expm1(-rate * t)
+
+
+def patch_deployed_cdf(d: DeploymentParams, t):
     """Fraction of systems that have installed an available patch by t days."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return -math.expm1(-d.rate_per_day * t)
+    raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
+    return _deployed_cdf(d.rate_per_day, t)
 
 
 @lru_cache(maxsize=64)
 def _dev_mass_table(dev: WeibullParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Development-delay cell masses and cell midpoints over the grid."""
     nodes = grid.nodes()
-    cdf = -np.expm1(-((nodes / dev.scale_days) ** dev.shape))
-    return 0.5 * (nodes[:-1] + nodes[1:]), np.diff(cdf)
+    return 0.5 * (nodes[:-1] + nodes[1:]), np.diff(patch_developed_cdf(dev, nodes))
 
 
-def _check_in_grid(s: PatchRaceScenario, t: float) -> None:
-    if not s.grid.start <= t <= s.grid.last_node:
-        raise ValueError(
-            f"t={t} lies outside the scenario grid [{s.grid.start}, {s.grid.last_node}]"
-        )
-
-
-def patched_fraction(s: PatchRaceScenario, t: float) -> float:
-    """Fraction of systems patched by day t (development + deployment delay).
+def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
+    """Patched fraction at each time in the 1-d array ``ts``.
 
     Sums development cell mass times the deployment CDF at the remaining time,
     over cells whose midpoint has passed; cells beyond t contribute zero
     because the deployment CDF vanishes at non-positive lags.
     """
-    _check_in_grid(s, t)
     rate = s.effective_deploy_rate
     if s.instant_dev:
-        return -math.expm1(-rate * t)
+        return _deployed_cdf(rate, ts)
     mid, mass = _dev_mass_table(s.dev, s.grid)
-    dep = -np.expm1(-rate * np.maximum(t - mid, 0.0))
-    return float(mass @ dep)
+    patched = np.empty(ts.shape)
+    # chunked so the (times x cells) lag matrix stays small
+    for start in range(0, ts.size, 256):
+        lag = np.maximum(ts[start : start + 256, None] - mid[None, :], 0.0)
+        patched[start : start + 256] = _deployed_cdf(rate, lag) @ mass
+    return patched
 
 
-def exploit_availability(e: ExploitCurveParams, t: float) -> float:
-    """Fraction of vulnerabilities with a working exploit by day t."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if e.clamp_monotone and t > e.peak_time:
-        value = e.peak_value
-    else:
-        value = e.amplitude * t**e.growth_exponent * math.exp(-e.decay_per_day * t)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(
-            f"exploit availability {value} at t={t} is outside [0, 1]; "
-            "check the curve parameters"
-        )
+def patched_fraction(s: PatchRaceScenario, t):
+    """Fraction of systems patched by day t (development + deployment delay);
+    t is a float or an array of days inside the scenario grid."""
+    lo, hi, ts = s.grid.start, s.grid.last_node, np.asarray(t)
+    message = "t={t} lies outside the scenario grid [{lo}, {hi}]"
+    raise_at_first(~((lo <= ts) & (ts <= hi)), message, t=t, lo=lo, hi=hi)
+    return _patched(s, np.ravel(t)).reshape(np.shape(t))[()]
+
+
+def exploit_availability(e: ExploitCurveParams, t):
+    """Fraction of vulnerabilities with a working exploit by day t (t a float
+    or an array)."""
+    raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
+    value = e.amplitude * t**e.growth_exponent * np.exp(-e.decay_per_day * t)
+    if e.clamp_monotone:
+        value = np.where(t > e.peak_time, e.peak_value, value)[()]
+    raise_at_first(
+        ~((0.0 <= value) & (value <= 1.0)),
+        "exploit availability {value} at t={t} is outside [0, 1]; check the curve parameters",
+        value=value,
+        t=t,
+    )
     return value
 
 
-def exploitable_fraction(s: PatchRaceScenario, t: float) -> float:
+def exploitable_fraction(s: PatchRaceScenario, t):
     """Exploit availability times the unpatched fraction, with scenario flags
     applied (instant_exploit substitutes availability 1)."""
     avail = 1.0 if s.instant_exploit else exploit_availability(s.exploit, t)
@@ -235,30 +242,12 @@ def exploitable_fraction(s: PatchRaceScenario, t: float) -> float:
 
 def _sweep_arrays(s: PatchRaceScenario) -> dict[str, np.ndarray]:
     nodes = s.grid.nodes()
-    rate = s.effective_deploy_rate
-    dev_cdf = -np.expm1(-((nodes / s.dev.scale_days) ** s.dev.shape))
-    dep_cdf = -np.expm1(-rate * nodes)
-
-    if s.instant_dev:
-        patched = dep_cdf.copy()
-    else:
-        mid, mass = _dev_mass_table(s.dev, s.grid)
-        patched = np.empty_like(nodes)
-        # chunked so the (nodes x cells) lag matrix stays small
-        for start in range(0, nodes.size, 256):
-            chunk = nodes[start : start + 256]
-            lag = np.maximum(chunk[:, None] - mid[None, :], 0.0)
-            patched[start : start + 256] = (-np.expm1(-rate * lag)) @ mass
-
-    if s.instant_exploit:
-        avail = np.ones_like(nodes)
-    else:
-        avail = np.array([exploit_availability(s.exploit, t) for t in nodes])
-
+    patched = _patched(s, nodes)
+    avail = np.ones_like(nodes) if s.instant_exploit else exploit_availability(s.exploit, nodes)
     return {
         "t": nodes,
-        "patch_dev_cdf": dev_cdf,
-        "patch_dep_cdf": dep_cdf,
+        "patch_dev_cdf": patch_developed_cdf(s.dev, nodes),
+        "patch_dep_cdf": _deployed_cdf(s.effective_deploy_rate, nodes),
         "patched_fraction": patched,
         "exploit_availability": avail,
         "exploitable_fraction": avail * (1.0 - patched),
@@ -271,7 +260,8 @@ def race_sweep(s: PatchRaceScenario) -> CurveSeries:
 
 
 def race_summary(s: PatchRaceScenario) -> RaceSummary:
-    """Peak exploitable fraction (at grid resolution) and the 365-day value."""
+    """Peak exploitable fraction (at grid resolution, day 365 included) and
+    the 365-day value."""
     if s.grid.start > 0 or s.grid.last_node < 365:
         raise ValueError("race summary needs a grid covering [0, 365] days")
     if s.grid.step > 1.0:
@@ -281,9 +271,15 @@ def race_summary(s: PatchRaceScenario) -> RaceSummary:
             stacklevel=2,
         )
     cols = _sweep_arrays(s)
-    i = int(np.argmax(cols["exploitable_fraction"]))
+    at_1yr = exploitable_fraction(s, 365.0)
+    # day 365 joins the peak search, so the peak dominates the 1-year value
+    # even when 365 falls between grid nodes
+    k = int(np.searchsorted(cols["t"], 365.0))
+    ts = np.insert(cols["t"], k, 365.0)
+    values = np.insert(cols["exploitable_fraction"], k, at_1yr)
+    i = int(np.argmax(values))
     return RaceSummary(
-        peak_time=float(cols["t"][i]),
-        peak_fraction=float(cols["exploitable_fraction"][i]),
-        fraction_at_1yr=exploitable_fraction(s, 365.0),
+        peak_time=float(ts[i]),
+        peak_fraction=float(values[i]),
+        fraction_at_1yr=float(at_1yr),
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import argmax_int
+from .numerics import raise_at_first
 from .series import CurveSeries
 
 
@@ -60,28 +60,27 @@ class CampaignPoint:
             raise ValueError("p_undetected must equal p_infection * p_no_alert")
 
 
-def p_infection(params: PhishingParams, n: int) -> float:
-    """Probability of at least one click in an n-message campaign."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return 1.0 - (1.0 - params.p_click) ** n
+def p_infection(params: PhishingParams, n):
+    """Probability of at least one click in an n-message campaign (n an int
+    or an array of sizes)."""
+    raise_at_first(np.less(n, 0), "n must be >= 0")
+    return 1.0 - np.power(1.0 - params.p_click, n, dtype=float)
 
 
-def p_no_alert(params: PhishingParams, n: int) -> float:
+def p_no_alert(params: PhishingParams, n):
     """Probability that none of the n messages is reported."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (1.0 - params.p_alert) ** n
+    raise_at_first(np.less(n, 0), "n must be >= 0")
+    return np.power(1.0 - params.p_alert, n, dtype=float)
 
 
-def p_undetected(params: PhishingParams, n: int) -> float:
+def p_undetected(params: PhishingParams, n):
     """Probability of at least one click with zero reports."""
     return p_infection(params, n) * p_no_alert(params, n)
 
 
 def campaign_point(params: PhishingParams, n: int) -> CampaignPoint:
-    inf = p_infection(params, n)
-    noal = p_no_alert(params, n)
+    inf = float(p_infection(params, n))  # plain floats keep the record's repr readable
+    noal = float(p_no_alert(params, n))
     return CampaignPoint(n, inf, noal, inf * noal)
 
 
@@ -90,12 +89,10 @@ def optimal_campaign(params: PhishingParams, n_max: int) -> CampaignPoint:
 
     Scans every size: the peak can be nearly flat (neighbouring sizes differ in
     the fifth digit), so hill-climbing with early stopping would be unsafe.
-    Ties go to the smallest campaign.
+    Ties go to the smallest campaign (the first maximum).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    n, _ = argmax_int(lambda m: p_undetected(params, m), 1, n_max)
-    return campaign_point(params, n)
+    undetected = campaign_sweep(params, n_max).column("p_undetected")
+    return campaign_point(params, int(np.argmax(undetected[1:])) + 1)
 
 
 def campaign_sweep(params: PhishingParams, n_max: int) -> CurveSeries:
@@ -103,10 +100,9 @@ def campaign_sweep(params: PhishingParams, n_max: int) -> CurveSeries:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     ns = np.arange(n_max + 1)
-    inf = 1.0 - (1.0 - params.p_click) ** ns.astype(float)
-    noal = (1.0 - params.p_alert) ** ns.astype(float)
+    inf, noal = p_infection(params, ns), p_no_alert(params, ns)
     return CurveSeries(
-        {"n": ns, "p_infection": inf, "p_no_alert": noal, "p_undetected": inf * noal},
+        {"n": ns, "p_infection": inf, "p_no_alert": noal, "p_undetected": p_undetected(params, ns)},
         x_label="n",
         units="messages",
     )

@@ -2,27 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
 def format_value(value) -> str:
     """Render a CSV cell: 12 significant digits for floats, bare ints, true/false."""
+    if isinstance(value, float):  # the common case first; np.float64 is a float
+        return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return f"{float(value):.12g}"
     return str(value)
 
 
-def rows_to_csv(header: list[str], rows: list[list]) -> str:
-    """Small-table CSV: header row then formatted rows, LF line endings."""
+def rows_to_csv(header: list[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: header row then formatted rows, LF line endings."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines.extend(",".join(map(format_value, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -60,12 +62,9 @@ class CurveSeries:
         return self.columns[name]
 
     def to_csv(self) -> str:
-        names = list(self.columns)
-        data = [self.columns[n] for n in names]
-        lines = [",".join(names)]
-        for i in range(len(self)):
-            lines.append(",".join(format_value(col[i]) for col in data))
-        return "\n".join(lines) + "\n"
+        return rows_to_csv(
+            list(self.columns), zip(*(col.tolist() for col in self.columns.values()))
+        )
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -9,11 +9,11 @@ equivalent attempt-count formulation uses a constant attempts-per-week rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import raise_at_first
 from .series import CurveSeries
 
 TIME_WEEKS = "time_weeks"
@@ -67,8 +67,9 @@ def discovery_rate(tester: PowerLawTester, t: float) -> float:
     return tester.initial_rate * t ** (-tester.difficulty_exponent)
 
 
-def expected_discoveries(tester: PowerLawTester, t1: float, t2: float) -> float:
-    """Expected unique discoveries over [t1, t2] (integral of the rate).
+def expected_discoveries(tester: PowerLawTester, t1, t2):
+    """Expected unique discoveries over [t1, t2] (integral of the rate); t1
+    and t2 are floats or arrays that broadcast together.
 
     Closed form c/(1-alpha) * (t2**(1-alpha) - t1**(1-alpha)) for alpha != 1,
     c * ln(t2/t1) at alpha = 1; evaluated through expm1 so the two branches
@@ -77,21 +78,18 @@ def expected_discoveries(tester: PowerLawTester, t1: float, t2: float) -> float:
     """
     alpha = tester.difficulty_exponent
     c = tester.initial_rate
-    if t1 < 0:
-        raise ValueError(f"t1 must be >= 0, got {t1}")
-    if not t2 > t1:
-        raise ValueError(f"t2 ({t2}) must exceed t1 ({t1})")
-    if alpha >= 1 and t1 == 0:
+    raise_at_first(np.less(t1, 0), "t1 must be >= 0, got {t1}", t1=t1)
+    raise_at_first(~np.greater(t2, t1), "t2 ({t2}) must exceed t1 ({t1})", t1=t1, t2=t2)
+    if alpha >= 1 and np.any(np.equal(t1, 0)):
         raise ValueError(
             "cumulative discoveries diverge on [0, t2] when the difficulty "
             "exponent is >= 1; use a positive t1"
         )
     if alpha == 1.0:
-        return c * math.log(t2 / t1)
+        return c * np.log(t2 / t1)
     e = 1.0 - alpha
-    if t1 == 0:
-        return c / e * t2**e
-    return c / e * (math.expm1(e * math.log(t2)) - math.expm1(e * math.log(t1)))
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives t1**e = 0 for e > 0
+        return c / e * (np.expm1(e * np.log(t2)) - np.expm1(e * np.log(t1)))
 
 
 def convert_attempts_time(eta: AttemptRate, value: float, direction: str) -> float:
@@ -136,30 +134,28 @@ def rate_crossover(a: PowerLawTester, b: PowerLawTester):
     )
 
 
-def week_interval(tester: PowerLawTester, week: int) -> tuple[float, float]:
-    """Integration interval covered by the 1-indexed week entry.
+def week_interval(tester: PowerLawTester, week):
+    """Integration interval covered by the 1-indexed week entry (an int or an
+    array of weeks).
 
     Creative testers (alpha < 1) start at t=0, so week w covers [w-1, w].
     Saturating testers (alpha >= 1) have a divergent integral at 0; their
     clock starts at t=1 and week w covers [w, w+1).
     """
-    if week < 1:
-        raise ValueError(f"week must be >= 1, got {week}")
+    raise_at_first(np.less(week, 1), "week must be >= 1, got {week}", week=week)
+    w = np.asarray(week, dtype=float)[()]
     if tester.difficulty_exponent < 1:
-        return (week - 1.0, float(week))
-    return (float(week), week + 1.0)
+        return (w - 1.0, w)
+    return (w, w + 1.0)
 
 
 def weekly_series(tester: PowerLawTester, weeks: int) -> CurveSeries:
     """Expected new discoveries per week for the first ``weeks`` weeks."""
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
-    per_week = np.empty(weeks)
-    for w in range(1, weeks + 1):
-        t1, t2 = week_interval(tester, w)
-        per_week[w - 1] = expected_discoveries(tester, t1, t2)
+    week = np.arange(1, weeks + 1)
     return CurveSeries(
-        {"week": np.arange(1, weeks + 1), "discoveries": per_week},
+        {"week": week, "discoveries": expected_discoveries(tester, *week_interval(tester, week))},
         x_label="week",
         units="discoveries per week",
     )

@@ -92,6 +92,21 @@ class TestPatchraceCommand:
         assert peak_fraction == pytest.approx(0.41, abs=0.01)
         assert at_1yr == pytest.approx(0.085, abs=0.005)
 
+    def test_summary_when_day_365_is_off_grid(self, tmp_path, capsys):
+        # on the 0.45-day grid the last node before day 365 (364.95) holds
+        # 0.276584962, below the exact 1-year value 0.276584969
+        scn = tmp_path / "slow_deploy.scn"
+        scn.write_text(
+            "[patchrace]\nbeta_per_day = 0.00001\nA = 0.05\nb = 0.000945775\n"
+            "grid_step_days = 0.45\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["patchrace", "--summary", "--scenario", str(scn)], capsys)
+        assert code == 0, err
+        (peak_time, peak_fraction, at_1yr), = parse_csv(out)[1]
+        assert peak_time == 365
+        assert peak_fraction == at_1yr == pytest.approx(0.276584969, abs=1e-9)
+
     def test_sweep_columns(self, capsys):
         code, out, _ = run_cli(
             ["patchrace", "--scenario", "default.scn"], capsys

@@ -111,7 +111,7 @@ class TestLeastSquares:
         shape, scale = 0.57, 18.2
         data = [(t, -math.expm1(-((t / scale) ** shape))) for t in range(1, 121)]
         fit = least_squares_fit(
-            lambda p, t: -math.expm1(-((t / p[1]) ** p[0])),
+            lambda p, t: -np.expm1(-((t / p[1]) ** p[0])),
             data,
             initial=[1.0, 30.0],
             bounds=[(0.05, 10.0), (0.1, 1000.0)],
@@ -123,7 +123,7 @@ class TestLeastSquares:
         beta = 1.0 / 144.0
         data = [(t, -math.expm1(-beta * t)) for t in range(5, 400, 5)]
         fit = least_squares_fit(
-            lambda p, t: -math.expm1(-((t / p[1]) ** p[0])),
+            lambda p, t: -np.expm1(-((t / p[1]) ** p[0])),
             data,
             initial=[0.7, 50.0],
             bounds=[(0.05, 10.0), (0.1, 10000.0)],

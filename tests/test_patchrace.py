@@ -242,6 +242,19 @@ class TestSweepAndSummary:
         with pytest.raises(ValueError, match="365"):
             race_summary(PatchRaceScenario(grid=Grid(0.0, 200.0, 0.25)))
 
+    def test_summary_peak_search_includes_day_365(self):
+        s = PatchRaceScenario(
+            dep=DeploymentParams(0.00001),
+            exploit=ExploitCurveParams(amplitude=0.05, decay_per_day=0.000945775),
+            grid=Grid(0.0, 730.0, 0.45),
+        )
+        grid_peak = race_sweep(s).column("exploitable_fraction").max()
+        at_1yr = exploitable_fraction(s, 365.0)
+        assert grid_peak < at_1yr  # day 365 is not a node and beats every node
+        summary = race_summary(s)
+        assert summary.peak_time == 365.0
+        assert summary.peak_fraction == summary.fraction_at_1yr == at_1yr
+
     def test_coarse_grid_warns(self):
         with pytest.warns(UserWarning, match="coarse"):
             race_summary(PatchRaceScenario(grid=Grid(0.0, 730.0, 2.0)))
