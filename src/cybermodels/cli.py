@@ -26,19 +26,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-FIGURE_NAMES = (
-    "fig1",
-    "fig2a",
-    "fig2b",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7-summary",
-    "fig8",
-    "fig9a",
-    "fig9b",
-)
-
 
 class _CliValidationError(Exception):
     pass
@@ -202,6 +189,8 @@ def _cmd_simulate(args) -> int:
         probes = args.probe or [55.0, 365.0]
         race = scn.race
         if not race.exploit.clamp_monotone:
+            print("notice: simulate --kind race samples the clamped exploit curve "
+                  "(clamp_monotone = true)", file=sys.stderr)
             race = replace(race, exploit=replace(race.exploit, clamp_monotone=True))
         ests = montecarlo.simulate_race(race, probes, cfg)
         rows = [
@@ -219,125 +208,121 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _merge_series(x_name: str, x, named_columns: dict[str, np.ndarray], units="") -> CurveSeries:
-    return CurveSeries({x_name: x, **named_columns}, x_label=x_name, units=units)
+def _columns(x: str, sources: dict[str, CurveSeries], column: str) -> CurveSeries:
+    """``x`` from the first source, then ``column`` of each source under its name."""
+    first = next(iter(sources.values()))
+    cols = {name: series.column(column) for name, series in sources.items()}
+    return CurveSeries({x: first.column(x), **cols}, x_label=x, units=first.units)
 
 
-def _figures(outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    # fig1: undetected-infection curves for the three phishing presets
+def _discoveries(weeks: int) -> CurveSeries:
     presets = {
-        "no_ai": "baseline.scn",
-        "ai_writer": "table1_ai_writer.scn",
-        "ai_writer_detector": "table1_ai_writer_detector.scn",
-    }
-    cols = {}
-    ns = None
-    for name, preset in presets.items():
-        sweep = phishing.campaign_sweep(resolve_scenario(preset).phishing, 200)
-        ns = sweep.column("n")
-        cols[name] = sweep.column("p_undetected")
-    _merge_series("n", ns, cols, "messages").write_csv(outdir / "fig1.csv")
-
-    # fig2a / fig2b: weekly discoveries for the four tester presets
-    testers = {
         "human_bug_bounty": "human_bug_bounty.scn",
         "black_box_fuzzer": "fuzzer.scn",
         "fast_ai": "fast_ai.scn",
         "creative_ai": "creative_ai.scn",
     }
-    for fname, weeks in (("fig2a.csv", 52), ("fig2b.csv", 520)):
-        cols = {}
-        wk = None
-        for name, preset in testers.items():
-            series = vulndisc.weekly_series(resolve_scenario(preset).tester, weeks)
-            wk = series.column("week")
-            cols[name] = series.column("discoveries")
-        _merge_series("week", wk, cols, "discoveries per week").write_csv(outdir / fname)
+    return _columns("week", {
+        name: vulndisc.weekly_series(resolve_scenario(preset).tester, weeks)
+        for name, preset in presets.items()
+    }, "discoveries")
 
-    race = resolve_scenario(None).race
 
-    # fig4: synthetic development-delay reference points and their refit
+def _undetected(race, sweep) -> CurveSeries:
+    presets = {
+        "no_ai": "baseline.scn",
+        "ai_writer": "table1_ai_writer.scn",
+        "ai_writer_detector": "table1_ai_writer_detector.scn",
+    }
+    return _columns("n", {
+        name: phishing.campaign_sweep(resolve_scenario(preset).phishing, 200)
+        for name, preset in presets.items()
+    }, "p_undetected")
+
+
+def _dev_refit(race, sweep) -> CurveSeries:
     samples = calibration.reference_patch_dev_samples()
-    fit = calibration.fit_weibull_cdf(samples)
-    fitted = patchrace.WeibullParams(*fit.params)
+    fitted = patchrace.WeibullParams(*calibration.fit_weibull_cdf(samples).params)
     ts, fractions = np.array([(s.t, s.fraction) for s in samples]).T
-    _merge_series(
-        "t",
-        ts,
-        {"fraction": fractions, "fitted_cdf": patchrace.patch_developed_cdf(fitted, ts)},
-        "days",
-    ).write_csv(outdir / "fig4.csv")
+    return CurveSeries(
+        {"t": ts, "fraction": fractions, "fitted_cdf": patchrace.patch_developed_cdf(fitted, ts)},
+        x_label="t", units="days",
+    )
 
-    # fig5: patch-available fraction over all vulnerabilities
+
+def _patch_available(race, sweep) -> CurveSeries:
     ts = np.arange(0.0, 120.5, 0.5)
     pre = race.pre_disclosure_patch_fraction
     available = patchrace.patch_developed_all_vulns(race.dev, pre, ts)
-    _merge_series("t", ts, {"patch_available_fraction": available}, "days").write_csv(
-        outdir / "fig5.csv"
-    )
+    return CurveSeries({"t": ts, "patch_available_fraction": available}, x_label="t", units="days")
 
-    # fig6: development, deployment, and total-delay CDFs
-    sweep = patchrace.race_sweep(race)
-    _merge_series(
-        "t",
-        sweep.column("t"),
-        {
-            "patch_dev_cdf": sweep.column("patch_dev_cdf"),
-            "patch_dep_cdf": sweep.column("patch_dep_cdf"),
-            "patched_fraction": sweep.column("patched_fraction"),
-        },
-        "days",
-    ).write_csv(outdir / "fig6.csv")
 
-    # fig7-summary: total-vulnerability normalization of the reference
-    # exploit-delay histogram
+def _exploit_total(race, sweep) -> CurveSeries:
     hist = calibration.reference_exploit_histogram()
-    efit = calibration.fit_exploit_total(hist, race.exploit)
-    (outdir / "fig7-summary.csv").write_text(
-        rows_to_csv(
-            ["total_vulnerabilities", "exploited", "implied_unexploited", "residual"],
-            [[efit.params[0], hist.total, calibration.implied_unexploited(efit, hist), efit.residual]],
-        ),
-        encoding="utf-8",
-    )
+    fit = calibration.fit_exploit_total(hist, race.exploit)
+    return CurveSeries({
+        "total_vulnerabilities": [fit.params[0]],
+        "exploited": [hist.total],
+        "implied_unexploited": [calibration.implied_unexploited(fit, hist)],
+        "residual": [fit.residual],
+    }, x_label="total_vulnerabilities")
 
-    # fig8: exploitable fraction and its two factors
-    _merge_series(
-        "t",
-        sweep.column("t"),
-        {
-            "exploit_availability": sweep.column("exploit_availability"),
-            "unpatched_fraction": 1.0 - sweep.column("patched_fraction"),
-            "exploitable_fraction": sweep.column("exploitable_fraction"),
-        },
-        "days",
-    ).write_csv(outdir / "fig8.csv")
 
-    # fig9a / fig9b: technology-advance contrasts
-    variants_a = {
-        "baseline": race,
-        "instant_patch_dev": replace(race, instant_dev=True),
-        "deploy_5x": replace(race, deploy_speedup=5.0),
-    }
-    variants_b = {
-        "instant_exploit": replace(race, instant_exploit=True),
-        "instant_exploit_deploy_5x": replace(race, instant_exploit=True, deploy_speedup=5.0),
-        "instant_exploit_instant_dev": replace(race, instant_exploit=True, instant_dev=True),
-    }
-    for fname, variants in (("fig9a.csv", variants_a), ("fig9b.csv", variants_b)):
-        cols = {}
-        ts = None
-        for name, variant in variants.items():
-            vsweep = patchrace.race_sweep(variant)
-            ts = vsweep.column("t")
-            cols[name] = vsweep.column("exploitable_fraction")
-        _merge_series("t", ts, cols, "days").write_csv(outdir / fname)
+def _exploitable_factors(race, sweep) -> CurveSeries:
+    return CurveSeries({
+        "t": sweep.column("t"),
+        "exploit_availability": sweep.column("exploit_availability"),
+        "unpatched_fraction": 1.0 - sweep.column("patched_fraction"),
+        "exploitable_fraction": sweep.column("exploitable_fraction"),
+    }, x_label="t", units="days")
+
+
+# figure name -> builder(baseline race scenario, its race_sweep). Builders
+# reach the model through module attributes at call time, never through
+# function objects bound here, so wrappers installed on them see each call.
+FIGURES = {
+    # undetected-infection curves for the three phishing presets
+    "fig1": _undetected,
+    # weekly discoveries for the four tester presets, 1 and 10 years
+    "fig2a": lambda race, sweep: _discoveries(52),
+    "fig2b": lambda race, sweep: _discoveries(520),
+    # synthetic development-delay reference points and their refit
+    "fig4": _dev_refit,
+    # patch-available fraction over all vulnerabilities
+    "fig5": _patch_available,
+    # development, deployment, and total-delay CDFs
+    "fig6": lambda race, sweep: CurveSeries(
+        {c: sweep.column(c) for c in ("t", "patch_dev_cdf", "patch_dep_cdf", "patched_fraction")},
+        x_label="t", units="days",
+    ),
+    # total-vulnerability normalization of the reference exploit-delay histogram
+    "fig7-summary": _exploit_total,
+    # exploitable fraction and its two factors
+    "fig8": _exploitable_factors,
+    # technology-advance contrasts
+    "fig9a": lambda race, sweep: _columns("t", {
+        "baseline": sweep,
+        "instant_patch_dev": patchrace.race_sweep(replace(race, instant_dev=True)),
+        "deploy_5x": patchrace.race_sweep(replace(race, deploy_speedup=5.0)),
+    }, "exploitable_fraction"),
+    "fig9b": lambda race, sweep: _columns("t", {
+        "instant_exploit": patchrace.race_sweep(replace(race, instant_exploit=True)),
+        "instant_exploit_deploy_5x": patchrace.race_sweep(
+            replace(race, instant_exploit=True, deploy_speedup=5.0)),
+        "instant_exploit_instant_dev": patchrace.race_sweep(
+            replace(race, instant_exploit=True, instant_dev=True)),
+    }, "exploitable_fraction"),
+}
+FIGURE_NAMES = tuple(FIGURES)
 
 
 def _cmd_figures(args) -> int:
-    _figures(Path(args.out))
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    race = resolve_scenario(None).race
+    sweep = patchrace.race_sweep(race)
+    for name, build in FIGURES.items():
+        build(race, sweep).write_csv(outdir / f"{name}.csv")
     return EXIT_OK
 
 

@@ -102,7 +102,7 @@ def campaign_sweep(params: PhishingParams, n_max: int) -> CurveSeries:
     ns = np.arange(n_max + 1)
     inf, noal = p_infection(params, ns), p_no_alert(params, ns)
     return CurveSeries(
-        {"n": ns, "p_infection": inf, "p_no_alert": noal, "p_undetected": p_undetected(params, ns)},
+        {"n": ns, "p_infection": inf, "p_no_alert": noal, "p_undetected": inf * noal},
         x_label="n",
         units="messages",
     )

@@ -49,71 +49,54 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"{raw!r} is not a boolean (use true/false)")
 
 
-# key -> (parser, validator or None, human-readable constraint)
 def _prob(v):
     return 0.0 <= v <= 1.0
 
 
+# key -> (parser, validator or None, human-readable constraint, baseline
+# default); the defaults are the values behind every bundled curve.
 _KEYS: dict[str, dict[str, tuple]] = {
     "phishing": {
-        "p_click": (float, _prob, "must be in [0, 1]"),
-        "p_human_alert": (float, _prob, "must be in [0, 1]"),
-        "p_machine_alert": (float, _prob, "must be in [0, 1]"),
+        "p_click": (float, _prob, "must be in [0, 1]", 0.03),
+        "p_human_alert": (float, _prob, "must be in [0, 1]", 0.015),
+        "p_machine_alert": (float, _prob, "must be in [0, 1]", 0.01),
     },
     "vulndisc": {
-        "c": (float, lambda v: v > 0, "must be > 0"),
-        "alpha": (float, lambda v: v >= 0, "must be >= 0"),
-        "label": (str, None, ""),
+        "c": (float, lambda v: v > 0, "must be > 0", 6.0),
+        "alpha": (float, lambda v: v >= 0, "must be >= 0", 0.4),
+        "label": (str, None, "", "human bug bounty"),
     },
     "patchrace": {
-        "k": (float, lambda v: v > 0, "must be > 0"),
-        "lambda_days": (float, lambda v: v > 0, "must be > 0"),
-        "beta_per_day": (float, lambda v: v > 0, "must be > 0"),
-        "A": (float, lambda v: v >= 0, "must be >= 0"),
-        "a": (float, lambda v: v >= 0, "must be >= 0"),
-        "b": (float, lambda v: v >= 0, "must be >= 0"),
-        "pre_disclosure_fraction": (float, _prob, "must be in [0, 1]"),
-        "instant_dev": (_parse_bool, None, ""),
-        "instant_exploit": (_parse_bool, None, ""),
-        "deploy_speedup": (float, lambda v: v >= 1, "must be >= 1"),
-        "grid_stop_days": (float, lambda v: v > 0, "must be > 0"),
-        "grid_step_days": (float, lambda v: v > 0, "must be > 0"),
-        "clamp_monotone": (_parse_bool, None, ""),
+        "k": (float, lambda v: v > 0, "must be > 0", 0.57),
+        "lambda_days": (float, lambda v: v > 0, "must be > 0", 18.2),
+        "beta_per_day": (float, lambda v: v > 0, "must be > 0", 1.0 / 144.0),
+        "A": (float, lambda v: v >= 0, "must be >= 0", 0.135),
+        "a": (float, lambda v: v >= 0, "must be >= 0", 0.349),
+        "b": (float, lambda v: v >= 0, "must be >= 0", 7.90e-4),
+        "pre_disclosure_fraction": (float, _prob, "must be in [0, 1]", 0.78),
+        "instant_dev": (_parse_bool, None, "", False),
+        "instant_exploit": (_parse_bool, None, "", False),
+        "deploy_speedup": (float, lambda v: v >= 1, "must be >= 1", 1.0),
+        "grid_stop_days": (float, lambda v: v > 0, "must be > 0", 730.0),
+        "grid_step_days": (float, lambda v: v > 0, "must be > 0", 0.25),
+        "clamp_monotone": (_parse_bool, None, "", False),
     },
     "montecarlo": {
-        "trials": (int, lambda v: v >= 1, "must be >= 1"),
-        "seed": (int, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"),
-        "workers": (int, lambda v: v >= 1, "must be >= 1"),
+        "trials": (int, lambda v: v >= 1, "must be >= 1", 100_000),
+        "seed": (int, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer", 20_260_810),
+        "workers": (int, lambda v: v >= 1, "must be >= 1", 1),
     },
 }
 
-# Baseline defaults for every key (the values behind every bundled curve).
-DEFAULTS: dict[str, dict[str, object]] = {
-    "phishing": {"p_click": 0.03, "p_human_alert": 0.015, "p_machine_alert": 0.01},
-    "vulndisc": {"c": 6.0, "alpha": 0.4, "label": "human bug bounty"},
-    "patchrace": {
-        "k": 0.57,
-        "lambda_days": 18.2,
-        "beta_per_day": 1.0 / 144.0,
-        "A": 0.135,
-        "a": 0.349,
-        "b": 7.90e-4,
-        "pre_disclosure_fraction": 0.78,
-        "instant_dev": False,
-        "instant_exploit": False,
-        "deploy_speedup": 1.0,
-        "grid_stop_days": 730.0,
-        "grid_step_days": 0.25,
-        "clamp_monotone": False,
-    },
-    "montecarlo": {"trials": 100_000, "seed": 20_260_810, "workers": 1},
-}
+
+def _defaults() -> dict[str, dict[str, object]]:
+    return {sec: {key: spec[3] for key, spec in keys.items()} for sec, keys in _KEYS.items()}
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict[str, object]]:
     """Parse and validate scenario text into per-section key/value dicts
     (defaults applied for omitted keys)."""
-    values = {sec: dict(defaults) for sec, defaults in DEFAULTS.items()}
+    values = _defaults()
     seen: dict[tuple[str, str], int] = {}
     section: str | None = None
 
@@ -152,7 +135,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict
             )
         seen[(section, key)] = lineno
 
-        parser, validator, constraint = _KEYS[section][key]
+        parser, validator, constraint, _ = _KEYS[section][key]
         try:
             value = parser(raw_value)
         except ValueError as exc:
@@ -204,7 +187,7 @@ def load_scenario(path) -> Scenario:
 
 def default_scenario() -> Scenario:
     """The all-defaults baseline scenario."""
-    return build_scenario({sec: dict(d) for sec, d in DEFAULTS.items()}, "<defaults>")
+    return build_scenario(_defaults(), "<defaults>")
 
 
 def list_bundled() -> list[str]:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cybermodels import patchrace
 from cybermodels.cli import FIGURE_NAMES, main
 
 # columns that hold counts/axes rather than probabilities, per figure CSV
@@ -182,6 +183,19 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_race_notice_on_forced_clamp_leaves_stdout_alone(self, tmp_path, capsys):
+        args = ["simulate", "--kind", "race", "--trials", "2000", "--probe", "55"]
+        code, forced, err = run_cli(args, capsys)
+        assert code == 0
+        assert err.startswith("notice: ") and "clamp_monotone" in err
+        assert len(err.splitlines()) == 1
+        scn = tmp_path / "clamped.scn"
+        scn.write_text("[patchrace]\nclamp_monotone = true\n", encoding="utf-8")
+        code, explicit, err = run_cli([*args, "--scenario", str(scn)], capsys)
+        assert code == 0
+        assert err == ""
+        assert explicit == forced
+
     def test_discovery_simulation(self, capsys):
         code, out, _ = run_cli(
             [
@@ -228,6 +242,19 @@ class TestFiguresCommand:
         _, body = parse_csv(out)
         assert body[0][0] == pytest.approx(0.57, rel=0.01)
         assert body[0][1] == pytest.approx(18.2, rel=0.01)
+
+    def test_one_run_makes_six_race_sweeps(self, tmp_path, monkeypatch):
+        calls = []
+        sweep = patchrace.race_sweep
+
+        def counting_sweep(s):
+            calls.append(s)
+            return sweep(s)
+
+        monkeypatch.setattr(patchrace, "race_sweep", counting_sweep)
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        # the baseline sweep, shared by fig6, fig8 and fig9a, plus five variants
+        assert len(calls) == 6
 
     def test_repeat_run_byte_identical(self, figures_dir, tmp_path):
         again = tmp_path / "figs2"
