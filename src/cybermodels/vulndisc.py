@@ -72,9 +72,11 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
     and t2 are floats or arrays that broadcast together.
 
     Closed form c/(1-alpha) * (t2**(1-alpha) - t1**(1-alpha)) for alpha != 1,
-    c * ln(t2/t1) at alpha = 1; evaluated through expm1 so the two branches
-    agree across alpha -> 1. For alpha >= 1 the integral diverges at 0, so
-    t1 must be positive there.
+    c * ln(t2/t1) at alpha = 1. For t1 > 0 it is evaluated as
+    c * t1**e * expm1(e * log1p((t2-t1)/t1)) / e with e = 1-alpha, which
+    subtracts nothing, so it keeps full precision for alpha > 1 and agrees
+    with the log branch across alpha -> 1; t1 = 0 gives c/e * t2**e. For
+    alpha >= 1 the integral diverges at 0, so t1 must be positive there.
     """
     alpha = tester.difficulty_exponent
     c = tester.initial_rate
@@ -85,11 +87,13 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
             "cumulative discoveries diverge on [0, t2] when the difficulty "
             "exponent is >= 1; use a positive t1"
         )
+    positive = np.greater(t1, 0)
+    base = np.where(positive, t1, 1.0)  # t1 = 0 entries take the t2**e branch below
+    log_ratio = np.log1p((t2 - t1) / base)
     if alpha == 1.0:
-        return c * np.log(t2 / t1)
+        return (c * log_ratio)[()]
     e = 1.0 - alpha
-    with np.errstate(divide="ignore"):  # log(0) = -inf gives t1**e = 0 for e > 0
-        return c / e * (np.expm1(e * np.log(t2)) - np.expm1(e * np.log(t1)))
+    return np.where(positive, c * base**e * np.expm1(e * log_ratio) / e, c / e * t2**e)[()]
 
 
 def convert_attempts_time(eta: AttemptRate, value: float, direction: str) -> float:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cybermodels.vulndisc import (
     expected_discoveries,
     rate_crossover,
     total_discoveries_limit,
+    week_interval,
     weekly_series,
 )
 
@@ -61,7 +63,31 @@ class TestDiscoveryRate:
             discovery_rate(HUMAN, t)
 
 
+def decimal_expected(tester, t1, t2):
+    """c/(1-alpha) * (t2**(1-alpha) - t1**(1-alpha)), c*ln(t2/t1) at alpha = 1,
+    evaluated to 50 digits from the exact binary values of the inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c, alpha = Decimal(tester.initial_rate), Decimal(tester.difficulty_exponent)
+        t1, t2 = Decimal(t1), Decimal(t2)
+        if alpha == 1:
+            return c * (t2 / t1).ln()
+        e = 1 - alpha
+
+        def power(t):
+            return (e * t.ln()).exp() if t else Decimal(0)
+
+        return c / e * (power(t2) - power(t1))
+
+
 class TestExpectedDiscoveries:
+    @pytest.mark.parametrize("alpha", [0.0, 0.04, 0.4, 1.0, 3.0])
+    def test_weekly_entries_match_decimal_reference(self, alpha):
+        tester = PowerLawTester(FUZZER.initial_rate if alpha > 1 else 6.0, alpha)
+        t1, t2 = week_interval(tester, np.arange(1, 521))
+        ref = [float(decimal_expected(tester, a, b)) for a, b in zip(t1.tolist(), t2.tolist())]
+        np.testing.assert_allclose(expected_discoveries(tester, t1, t2), ref, rtol=1e-14, atol=0)
+
     def test_human_first_week(self):
         assert expected_discoveries(HUMAN, 0.0, 1.0) == pytest.approx(10.0, abs=1e-9)
 
