@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -122,7 +123,11 @@ def _cmd_vulndisc(args) -> int:
 def _cmd_patchrace(args) -> int:
     scn = resolve_scenario(args.scenario)
     if args.summary:
-        s = patchrace.race_summary(scn.race)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            s = patchrace.race_summary(scn.race)
+        for w in caught:
+            print(f"notice: {w.message}", file=sys.stderr)
         text = rows_to_csv(
             ["peak_time_days", "peak_fraction", "fraction_at_1yr"],
             [[s.peak_time, s.peak_fraction, s.fraction_at_1yr]],

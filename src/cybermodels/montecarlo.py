@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -341,27 +341,11 @@ def _regression_cases():
         _race_case("race/default @55", clamped, 55.0, 115),
         _race_case("race/default @100", clamped, 100.0, 116),
         _race_case("race/default @365", clamped, 365.0, 117),
-        _race_case(
-            "race/instant_dev @55",
-            PatchRaceScenario(exploit=ExploitCurveParams(clamp_monotone=True), instant_dev=True),
-            55.0,
-            118,
-        ),
-        _race_case(
-            "race/instant_exploit @144",
-            PatchRaceScenario(exploit=ExploitCurveParams(clamp_monotone=True), instant_exploit=True),
-            144.0,
-            119,
-        ),
+        _race_case("race/instant_dev @55", replace(clamped, instant_dev=True), 55.0, 118),
+        _race_case("race/instant_exploit @144", replace(clamped, instant_exploit=True), 144.0, 119),
         _race_case(
             "race/instant_exploit 5x @365",
-            PatchRaceScenario(
-                exploit=ExploitCurveParams(clamp_monotone=True),
-                instant_exploit=True,
-                deploy_speedup=5.0,
-            ),
-            365.0,
-            120,
+            replace(clamped, instant_exploit=True, deploy_speedup=5.0), 365.0, 120,
         ),
     ]
     return cases

@@ -1,12 +1,11 @@
 """Patch-vs-exploit race over the post-disclosure-patch cohort.
 
 Patch development delay is Weibull(shape, scale); deployment delay is
-exponential. The total patch delay is the sum of the two independent delays,
-so its CDF is the convolution of the development distribution with the
-deployment CDF. That convolution is computed on a fixed day grid using
-development cell masses (CDF differences over grid cells), which removes the
-shape<1 density singularity at zero exactly, paired with the deployment CDF
-evaluated at cell midpoints.
+exponential. The patched fraction, the CDF of their sum, is a midpoint sum on
+a fixed day grid: development cell masses (CDF differences over grid cells,
+which remove the shape<1 density singularity at zero exactly) times the
+deployment CDF from each cell midpoint. An exponential deployment delay turns
+that sum into O(N) recursions over the nodes (see ``_patched``).
 
 Exploit availability follows an exponentially-capped power law
 amplitude * t**growth * exp(-decay * t). Its raw form is not monotone: it
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -182,30 +180,43 @@ def patch_deployed_cdf(d: DeploymentParams, t):
     return _deployed_cdf(d.rate_per_day, t)
 
 
-@lru_cache(maxsize=64)
-def _dev_mass_table(dev: WeibullParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Development-delay cell masses and cell midpoints over the grid."""
-    nodes = grid.nodes()
-    return 0.5 * (nodes[:-1] + nodes[1:]), np.diff(patch_developed_cdf(dev, nodes))
-
-
 def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
     """Patched fraction at each time in the 1-d array ``ts``.
 
-    Sums development cell mass times the deployment CDF at the remaining time,
-    over cells whose midpoint has passed; cells beyond t contribute zero
-    because the deployment CDF vanishes at non-positive lags.
+    With q = e^{-rh}, cell masses m_i and development mass F_i before node i,
+    the patched fraction P and the undeployed mass U = F - P obey recursions
+    with positive terms only, each a discounted cumulative sum taken in blocks
+    short enough that e^{rh m} stays finite:
+        P_i = q P_{i-1} + (1 - q) F_{i-1} + (1 - e^{-rh/2}) m_{i-1}
+        U_i = q U_{i-1} + e^{-rh/2} m_{i-1}
+    P_i is read from the first where P_i <= U_i and as F_i - U_i elsewhere, so
+    neither P nor 1 - P cancels. At t = t_k + d with 0 <= d < h,
+        P(t) = e^{-rd} P_k + (1 - e^{-rd}) F_k + m_k (1 - e^{-r max(d - h/2, 0)}),
+    which is P_k bit for bit at d = 0, so a day gets the same bits alone or in
+    an array.
     """
     rate = s.effective_deploy_rate
     if s.instant_dev:
         return _deployed_cdf(rate, ts)
-    mid, mass = _dev_mass_table(s.dev, s.grid)
-    patched = np.empty(ts.shape)
-    # chunked so the (times x cells) lag matrix stays small
-    for start in range(0, ts.size, 256):
-        lag = np.maximum(ts[start : start + 256, None] - mid[None, :], 0.0)
-        patched[start : start + 256] = _deployed_cdf(rate, lag) @ mass
-    return patched
+    nodes, h = s.grid.nodes(), s.grid.step
+    k = np.searchsorted(nodes, ts, side="right") - 1
+    nodes = nodes[: k.max(initial=0) + 2]  # later nodes cannot reach any of ts
+    cdf = patch_developed_cdf(s.dev, nodes)
+    before, mass = cdf - cdf[0], np.append(np.diff(cdf), 0.0)
+    rh = rate * h
+    terms = np.stack([-math.expm1(-rh) * before - math.expm1(-rh / 2) * mass,
+                      math.exp(-rh / 2) * mass])[:, :-1]
+    sums, n = np.zeros((2, nodes.size)), nodes.size - 1
+    block = max(1, int(min(n, 600.0 / rh)))
+    for i in range(0, n, block):
+        e = rh * np.arange(min(block, n - i))
+        grown = np.cumsum(terms[:, i : i + e.size] * np.exp(e), axis=1)
+        sums[:, i + 1 : i + e.size + 1] = np.exp(-e) * (math.exp(-rh) * sums[:, i, None] + grown)
+    recursed, undeployed = sums
+    patched = np.where(recursed <= undeployed, recursed, before - undeployed)
+    d = ts - nodes[k]
+    late = -np.expm1(-rate * np.maximum(d - h / 2, 0.0))
+    return np.exp(-rate * d) * patched[k] - np.expm1(-rate * d) * before[k] + late * mass[k]
 
 
 def patched_fraction(s: PatchRaceScenario, t):
@@ -221,7 +232,8 @@ def exploit_availability(e: ExploitCurveParams, t):
     """Fraction of vulnerabilities with a working exploit by day t (t a float
     or an array)."""
     raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
-    value = e.amplitude * t**e.growth_exponent * np.exp(-e.decay_per_day * t)
+    # np.power, not **: a float gets the same bits as an array element
+    value = e.amplitude * np.power(t, e.growth_exponent) * np.exp(-e.decay_per_day * t)
     if e.clamp_monotone:
         value = np.where(t > e.peak_time, e.peak_value, value)[()]
     raise_at_first(
@@ -240,14 +252,13 @@ def exploitable_fraction(s: PatchRaceScenario, t):
     return avail * (1.0 - patched_fraction(s, t))
 
 
-def _sweep_arrays(s: PatchRaceScenario) -> dict[str, np.ndarray]:
-    nodes = s.grid.nodes()
-    patched = _patched(s, nodes)
-    avail = np.ones_like(nodes) if s.instant_exploit else exploit_availability(s.exploit, nodes)
+def _sweep_arrays(s: PatchRaceScenario, ts: np.ndarray) -> dict[str, np.ndarray]:
+    patched = _patched(s, ts)
+    avail = np.ones_like(ts) if s.instant_exploit else exploit_availability(s.exploit, ts)
     return {
-        "t": nodes,
-        "patch_dev_cdf": patch_developed_cdf(s.dev, nodes),
-        "patch_dep_cdf": _deployed_cdf(s.effective_deploy_rate, nodes),
+        "t": ts,
+        "patch_dev_cdf": patch_developed_cdf(s.dev, ts),
+        "patch_dep_cdf": _deployed_cdf(s.effective_deploy_rate, ts),
         "patched_fraction": patched,
         "exploit_availability": avail,
         "exploitable_fraction": avail * (1.0 - patched),
@@ -256,7 +267,7 @@ def _sweep_arrays(s: PatchRaceScenario) -> dict[str, np.ndarray]:
 
 def race_sweep(s: PatchRaceScenario) -> CurveSeries:
     """All race curves evaluated at every grid node."""
-    return CurveSeries(_sweep_arrays(s), x_label="t", units="days")
+    return CurveSeries(_sweep_arrays(s, s.grid.nodes()), x_label="t", units="days")
 
 
 def race_summary(s: PatchRaceScenario) -> RaceSummary:
@@ -270,16 +281,15 @@ def race_summary(s: PatchRaceScenario) -> RaceSummary:
             "to grid resolution",
             stacklevel=2,
         )
-    cols = _sweep_arrays(s)
-    at_1yr = exploitable_fraction(s, 365.0)
     # day 365 joins the peak search, so the peak dominates the 1-year value
     # even when 365 falls between grid nodes
-    k = int(np.searchsorted(cols["t"], 365.0))
-    ts = np.insert(cols["t"], k, 365.0)
-    values = np.insert(cols["exploitable_fraction"], k, at_1yr)
+    nodes = s.grid.nodes()
+    k = int(np.searchsorted(nodes, 365.0))
+    ts = np.insert(nodes, k, 365.0)
+    values = _sweep_arrays(s, ts)["exploitable_fraction"]
     i = int(np.argmax(values))
     return RaceSummary(
         peak_time=float(ts[i]),
         peak_fraction=float(values[i]),
-        fraction_at_1yr=float(at_1yr),
+        fraction_at_1yr=float(values[k]),
     )

@@ -7,6 +7,8 @@ import pytest
 
 from cybermodels import patchrace
 from cybermodels.cli import FIGURE_NAMES, main
+from cybermodels.scenario import resolve_scenario
+from cybermodels.series import rows_to_csv
 
 # columns that hold counts/axes rather than probabilities, per figure CSV
 NON_PROBABILITY_COLUMNS = {
@@ -107,6 +109,22 @@ class TestPatchraceCommand:
         (peak_time, peak_fraction, at_1yr), = parse_csv(out)[1]
         assert peak_time == 365
         assert peak_fraction == at_1yr == pytest.approx(0.276584969, abs=1e-9)
+
+    def test_coarse_grid_prints_one_notice_and_the_same_csv(self, tmp_path, capsys):
+        scn = tmp_path / "coarse.scn"
+        scn.write_text("[patchrace]\ngrid_step_days = 2\n", encoding="utf-8")
+        code, out, err = run_cli(["patchrace", "--summary", "--scenario", str(scn)], capsys)
+        assert code == 0
+        assert err.startswith("notice: ") and "coarse" in err
+        assert len(err.splitlines()) == 1
+        with pytest.warns(UserWarning, match="coarse"):
+            s = patchrace.race_summary(resolve_scenario(str(scn)).race)
+        assert out == rows_to_csv(
+            ["peak_time_days", "peak_fraction", "fraction_at_1yr"],
+            [[s.peak_time, s.peak_fraction, s.fraction_at_1yr]],
+        )
+        code, _, err = run_cli(["patchrace", "--summary"], capsys)
+        assert code == 0 and err == ""
 
     def test_sweep_columns(self, capsys):
         code, out, _ = run_cli(

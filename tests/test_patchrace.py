@@ -155,6 +155,33 @@ class TestPatchedFraction:
             se = math.sqrt(p_hat * (1.0 - p_hat) / n)
             assert abs(patched_fraction(DEFAULT, t) - p_hat) <= 4.0 * se
 
+    # seeds and grids fixed before the first run; a miss is a finding, never
+    # a reason to re-seed, add draws or widen the 4-SE rule
+    SAMPLING_CASES = {
+        "off_grid_100.1": (DEFAULT, (100.1,), 7001),
+        "deploy_5x_day_10": (PatchRaceScenario(deploy_speedup=5.0), (10.0,), 7002),
+        # at k = 0.05 the default 0.25-day grid is off by up to 4.5e-4, which
+        # 10^6 draws resolve, so this case runs on a finer grid
+        "k_0.05_grid_730/2^16": (
+            PatchRaceScenario(dev=WeibullParams(0.05, 18.2), grid=Grid(0.0, 730.0, 730.0 / 2**16)),
+            (30.0, 100.0, 365.0),
+            7003,
+        ),
+        "k_20": (PatchRaceScenario(dev=WeibullParams(20.0, 18.2)), (20.0, 55.0, 365.0), 7004),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+    def test_kernel_matches_inverse_cdf_sampling(self, case):
+        s, probes, seed = self.SAMPLING_CASES[case]
+        rng = np.random.default_rng(seed)
+        n = 1_000_000
+        dev = s.dev.scale_days * (-np.log1p(-rng.random(n))) ** (1.0 / s.dev.shape)
+        total = dev - np.log1p(-rng.random(n)) / s.effective_deploy_rate
+        for t in probes:
+            p_hat = float(np.mean(total <= t))
+            se = math.sqrt(p_hat * (1.0 - p_hat) / n)
+            assert abs(patched_fraction(s, t) - p_hat) <= 4.0 * se, (t, p_hat, se)
+
     def test_total_delay_density_rises_then_falls(self):
         patched = race_sweep(DEFAULT).column("patched_fraction")
         density = np.diff(patched)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cybermodels import vulndisc
-from cybermodels.numerics import argmax_int
+from cybermodels.numerics import Grid, argmax_int
 from cybermodels.patchrace import (
     ExploitCurveParams,
     PatchRaceScenario,
@@ -26,6 +26,7 @@ from cybermodels.patchrace import (
     patch_developed_all_vulns,
     patch_developed_cdf,
     patched_fraction,
+    race_summary,
     race_sweep,
 )
 from cybermodels.phishing import optimal_campaign, p_infection, p_no_alert, p_undetected
@@ -236,10 +237,27 @@ def test_array_keeps_shape_and_values(name):
     xs[1, 2] = x + 1.0
     got = fn(xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
-    # rel 1e-15, not equality: the BLAS row sums of the race convolution may
-    # round differently for different numbers of rows
-    assert got[0, 0] == pytest.approx(fn(x), rel=1e-15, abs=0.0)
-    assert got[1, 2] == pytest.approx(fn(x + 1.0), rel=1e-15, abs=0.0)
+    assert got[0, 0] == fn(x)
+    assert got[1, 2] == fn(x + 1.0)
+
+
+def test_exploit_curve_same_bits_alone_or_in_an_array():
+    nodes = RACE.grid.nodes()
+    together = exploit_availability(RACE.exploit, nodes)
+    assert together.tolist() == [exploit_availability(RACE.exploit, t) for t in nodes.tolist()]
+
+
+@pytest.mark.parametrize(
+    "race",
+    [RACE, PatchRaceScenario(deploy_speedup=5.0), PatchRaceScenario(grid=Grid(0.0, 730.0, 0.1))],
+    ids=["baseline", "deploy_5x", "grid_0.1"],
+)
+def test_summary_one_year_value_is_the_sweep_node_bit_for_bit(race):
+    sweep = race_sweep(race)
+    (node,) = np.flatnonzero(sweep.column("t") == 365.0)
+    at_1yr = race_summary(race).fraction_at_1yr
+    assert at_1yr == sweep.column("exploitable_fraction")[node]
+    assert at_1yr == exploitable_fraction(race, 365.0)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
