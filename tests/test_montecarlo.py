@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from cybermodels.montecarlo import (
     SimConfig,
     SimEstimate,
     discovery_interval_counts,
+    run_regression_suite,
     simulate_discovery,
     simulate_phishing,
     simulate_race,
@@ -17,6 +20,7 @@ from cybermodels.vulndisc import PowerLawTester
 
 BASELINE = PhishingParams(0.03, 0.015, 0.01)
 CLAMPED = PatchRaceScenario(exploit=ExploitCurveParams(clamp_monotone=True))
+ORACLE_GOLDEN = Path(__file__).resolve().parent / "golden" / "oracle_suite_2000.csv"
 
 
 class TestConfig:
@@ -135,3 +139,24 @@ class TestRaceSimulation:
     def test_negative_probe_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             simulate_race(CLAMPED, [-5.0], SimConfig(trials=10, seed=1))
+
+
+class TestRegressionSuite:
+    # The golden rows were written once, floats as repr(float(x)), from
+    # run_regression_suite(trials=2000) before the oracle was simplified; they
+    # are never regenerated. Equality is exact: same draws, same closed forms.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_golden_bit_for_bit(self, workers):
+        with open(ORACLE_GOLDEN, encoding="utf-8", newline="") as fh:
+            golden = list(csv.reader(fh))
+        got = [["case", "quantity", "analytic", "mean", "std_error"]] + [
+            [
+                row.case,
+                row.quantity,
+                repr(float(row.analytic)),
+                repr(row.estimate.mean),
+                repr(row.estimate.std_error),
+            ]
+            for row in run_regression_suite(trials=2000, workers=workers)
+        ]
+        assert got == golden
