@@ -2,14 +2,15 @@
 
 Every estimate here is rebuilt from raw draws: Bernoulli message events,
 thinning of an inhomogeneous Poisson process, and inverse-CDF delay sampling.
-The closed-form/convolution code paths are never called for the draws
-themselves, so a bug there cannot hide from these estimates.
+The closed forms of the model modules are never called for the draws; in the
+regression suite they feed only the ``analytic`` column, so a bug there cannot
+hide from these estimates.
 
-Determinism: trials are split into fixed-size blocks and block i draws from
-its own counter-based Philox stream derived from (seed, i). Workers only
-decide which thread runs a block, never what the block draws, and per-block
-tallies are exact integers, so results are bit-identical for any worker
-count.
+Determinism: trials are split into fixed-size blocks, and ``_map_blocks`` is
+the one place that gives block i its own counter-based Philox stream derived
+from (seed, i). Workers only decide which thread runs a block, never what the
+block draws, and per-block tallies are exact integers, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .patchrace import PatchRaceScenario
+from . import patchrace, phishing, vulndisc
+from .patchrace import ExploitCurveParams, PatchRaceScenario
 from .phishing import PhishingParams
 from .vulndisc import PowerLawTester
 
@@ -61,24 +63,21 @@ class PhishingEstimates(NamedTuple):
     undetected: SimEstimate
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    # disjoint 2**64-draw counter windows per block
-    return np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
-
-
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    return [
-        (i, min(BLOCK_TRIALS, trials - i * BLOCK_TRIALS))
-        for i in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
-    ]
-
-
 def _map_blocks(cfg: SimConfig, fn) -> list:
-    blocks = _blocks(cfg.trials)
-    if cfg.workers == 1 or len(blocks) == 1:
-        return [fn(i, size) for i, size in blocks]
+    """``fn(rng, size)`` for each block of up to BLOCK_TRIALS trials, in block
+    order; block i draws from its own disjoint 2**64-draw Philox counter
+    window, whichever thread runs it."""
+
+    def block(start: int):
+        counter = (start // BLOCK_TRIALS) << 64
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=counter))
+        return fn(rng, min(BLOCK_TRIALS, cfg.trials - start))
+
+    starts = range(0, cfg.trials, BLOCK_TRIALS)
+    if cfg.workers == 1 or len(starts) == 1:
+        return [block(start) for start in starts]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(lambda b: fn(*b), blocks))
+        return list(pool.map(block, starts))
 
 
 def _bernoulli_estimate(successes: int, trials: int) -> SimEstimate:
@@ -91,15 +90,8 @@ def simulate_phishing(params: PhishingParams, n: int, cfg: SimConfig) -> Phishin
     every message's click, human-report, and machine-report event."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return PhishingEstimates(
-            SimEstimate(0.0, 0.0, cfg.trials),
-            SimEstimate(1.0, 0.0, cfg.trials),
-            SimEstimate(0.0, 0.0, cfg.trials),
-        )
 
-    def block(index: int, size: int) -> tuple[int, int, int]:
-        rng = _block_rng(cfg.seed, index)
+    def block(rng: np.random.Generator, size: int) -> tuple[int, int, int]:
         clicked = np.zeros(size, dtype=bool)
         alerted = np.zeros(size, dtype=bool)
         for _ in range(n):
@@ -107,18 +99,10 @@ def simulate_phishing(params: PhishingParams, n: int, cfg: SimConfig) -> Phishin
             human = rng.random(size) < params.p_human_alert
             machine = rng.random(size) < params.p_machine_alert
             alerted |= human | machine
-        return (
-            int(clicked.sum()),
-            int((~alerted).sum()),
-            int((clicked & ~alerted).sum()),
-        )
+        return int(clicked.sum()), int((~alerted).sum()), int((clicked & ~alerted).sum())
 
-    infected, unalerted, undetected = (sum(t) for t in zip(*_map_blocks(cfg, block)))
-    return PhishingEstimates(
-        _bernoulli_estimate(infected, cfg.trials),
-        _bernoulli_estimate(unalerted, cfg.trials),
-        _bernoulli_estimate(undetected, cfg.trials),
-    )
+    tallies = zip(*_map_blocks(cfg, block))
+    return PhishingEstimates(*(_bernoulli_estimate(sum(t), cfg.trials) for t in tallies))
 
 
 def _thinning_edges(t1: float, t2: float) -> np.ndarray:
@@ -148,8 +132,7 @@ def discovery_interval_counts(
     def rate(x: np.ndarray) -> np.ndarray:
         return c * x**-alpha
 
-    def block(index: int, size: int) -> np.ndarray:
-        rng = _block_rng(cfg.seed, index)
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
         counts = np.zeros((size, edges.size - 1), dtype=np.int64)
         for j in range(edges.size - 1):
             sub = _thinning_edges(edges[j], edges[j + 1])
@@ -194,9 +177,6 @@ def _invert_exploit_curve(exploit, u: np.ndarray) -> np.ndarray:
     cap = exploit.peak_value
     times = np.full(u.shape, np.inf)
     arrived = u < cap
-    if exploit.growth_exponent == 0:
-        times[arrived] = 0.0
-        return times
     target = u[arrived]
     lo = np.zeros_like(target)
     hi = np.full_like(target, exploit.peak_time)
@@ -237,8 +217,7 @@ def simulate_race(
     inv_shape = 1.0 / s.dev.shape
     scale = s.dev.scale_days
 
-    def block(index: int, size: int) -> tuple[int, ...]:
-        rng = _block_rng(cfg.seed, index)
+    def block(rng: np.random.Generator, size: int) -> tuple[int, ...]:
         u_dev = rng.random(size)
         u_dep = rng.random(size)
         u_exp = rng.random(size)
@@ -278,83 +257,58 @@ class RegressionRow:
         return abs(self.analytic - self.estimate.mean) <= 4.0 * self.estimate.std_error + 1e-12
 
 
-def _phishing_case(name, params, n, seed):
-    from . import phishing as ph
-
-    def run(trials, workers):
-        est = simulate_phishing(params, n, SimConfig(trials, seed, workers))
-        return [
-            RegressionRow(name, "p_infection", ph.p_infection(params, n), est.infection),
-            RegressionRow(name, "p_no_alert", ph.p_no_alert(params, n), est.no_alert),
-            RegressionRow(name, "p_undetected", ph.p_undetected(params, n), est.undetected),
-        ]
-
-    return run
-
-
-def _discovery_case(name, tester, t1, t2, seed):
-    from . import vulndisc as vd
-
-    def run(trials, workers):
-        est = simulate_discovery(tester, t1, t2, SimConfig(trials, seed, workers))
-        return [RegressionRow(name, "discoveries", vd.expected_discoveries(tester, t1, t2), est)]
-
-    return run
-
-
-def _race_case(name, scenario, probe, seed):
-    from . import patchrace as pr
-
-    def run(trials, workers):
-        est = simulate_race(scenario, [probe], SimConfig(trials, seed, workers))[0]
-        return [
-            RegressionRow(
-                name, f"exploitable@{probe:g}d", pr.exploitable_fraction(scenario, probe), est
-            )
-        ]
-
-    return run
-
-
-def _regression_cases():
-    from .patchrace import ExploitCurveParams, PatchRaceScenario
-
+def _regression_cases() -> list[tuple]:
+    """(name, seed, model, params, args) of each oracle case, in suite order."""
     base = PhishingParams(0.03, 0.015, 0.01)
     writer = PhishingParams(0.3, 0.005, 0.01)
     detector = PhishingParams(0.3, 0.005, 0.25)
+    human, fuzzer = PowerLawTester(6.0, 0.4), PowerLawTester(85.5, 3.0)
     clamped = PatchRaceScenario(exploit=ExploitCurveParams(clamp_monotone=True))
-    cases = [
-        _phishing_case("phish/base n=26", base, 26, 101),
-        _phishing_case("phish/base n=5", base, 5, 102),
-        _phishing_case("phish/base n=120", base, 120, 103),
-        _phishing_case("phish/writer n=9", writer, 9, 104),
-        _phishing_case("phish/detector n=2", detector, 2, 105),
-        _phishing_case("phish/(0.1,0.02,0) n=15", PhishingParams(0.1, 0.02, 0.0), 15, 106),
-        _phishing_case("phish/(0.5,0,0.05) n=3", PhishingParams(0.5, 0.0, 0.05), 3, 107),
-        _phishing_case("phish/(0.02,0.01,0.03) n=60", PhishingParams(0.02, 0.01, 0.03), 60, 108),
-        _discovery_case("disc/human [1,9]", PowerLawTester(6.0, 0.4), 1.0, 9.0, 109),
-        _discovery_case("disc/human [0.5,4.5]", PowerLawTester(6.0, 0.4), 0.5, 4.5, 110),
-        _discovery_case("disc/fuzzer [1,18/7]", PowerLawTester(85.5, 3.0), 1.0, 18.0 / 7.0, 111),
-        _discovery_case("disc/fuzzer [2,6]", PowerLawTester(85.5, 3.0), 2.0, 6.0, 112),
-        _discovery_case("disc/creative [1,3]", PowerLawTester(6.0, 0.04), 1.0, 3.0, 113),
-        _discovery_case("disc/flat [1,11]", PowerLawTester(2.0, 0.0), 1.0, 11.0, 114),
-        _race_case("race/default @55", clamped, 55.0, 115),
-        _race_case("race/default @100", clamped, 100.0, 116),
-        _race_case("race/default @365", clamped, 365.0, 117),
-        _race_case("race/instant_dev @55", replace(clamped, instant_dev=True), 55.0, 118),
-        _race_case("race/instant_exploit @144", replace(clamped, instant_exploit=True), 144.0, 119),
-        _race_case(
-            "race/instant_exploit 5x @365",
-            replace(clamped, instant_exploit=True, deploy_speedup=5.0), 365.0, 120,
-        ),
+    instant_exploit = replace(clamped, instant_exploit=True)
+    return [
+        ("phish/base n=26", 101, "phishing", base, (26,)),
+        ("phish/base n=5", 102, "phishing", base, (5,)),
+        ("phish/base n=120", 103, "phishing", base, (120,)),
+        ("phish/writer n=9", 104, "phishing", writer, (9,)),
+        ("phish/detector n=2", 105, "phishing", detector, (2,)),
+        ("phish/(0.1,0.02,0) n=15", 106, "phishing", PhishingParams(0.1, 0.02, 0.0), (15,)),
+        ("phish/(0.5,0,0.05) n=3", 107, "phishing", PhishingParams(0.5, 0.0, 0.05), (3,)),
+        ("phish/(0.02,0.01,0.03) n=60", 108, "phishing", PhishingParams(0.02, 0.01, 0.03), (60,)),
+        ("disc/human [1,9]", 109, "discovery", human, (1.0, 9.0)),
+        ("disc/human [0.5,4.5]", 110, "discovery", human, (0.5, 4.5)),
+        ("disc/fuzzer [1,18/7]", 111, "discovery", fuzzer, (1.0, 18.0 / 7.0)),
+        ("disc/fuzzer [2,6]", 112, "discovery", fuzzer, (2.0, 6.0)),
+        ("disc/creative [1,3]", 113, "discovery", PowerLawTester(6.0, 0.04), (1.0, 3.0)),
+        ("disc/flat [1,11]", 114, "discovery", PowerLawTester(2.0, 0.0), (1.0, 11.0)),
+        ("race/default @55", 115, "race", clamped, (55.0,)),
+        ("race/default @100", 116, "race", clamped, (100.0,)),
+        ("race/default @365", 117, "race", clamped, (365.0,)),
+        ("race/instant_dev @55", 118, "race", replace(clamped, instant_dev=True), (55.0,)),
+        ("race/instant_exploit @144", 119, "race", instant_exploit, (144.0,)),
+        ("race/instant_exploit 5x @365", 120, "race",
+         replace(instant_exploit, deploy_speedup=5.0), (365.0,)),
     ]
-    return cases
+
+
+def _run_case(name, seed, model, params, args, trials, workers) -> list[RegressionRow]:
+    cfg = SimConfig(trials, seed, workers)
+    if model == "phishing":
+        est = simulate_phishing(params, *args, cfg)
+        return [
+            RegressionRow(name, quantity, getattr(phishing, quantity)(params, *args), e)
+            for quantity, e in zip(("p_infection", "p_no_alert", "p_undetected"), est)
+        ]
+    if model == "discovery":
+        est = simulate_discovery(params, *args, cfg)
+        analytic = vulndisc.expected_discoveries(params, *args)
+        return [RegressionRow(name, "discoveries", analytic, est)]
+    (probe,) = args
+    est = simulate_race(params, [probe], cfg)[0]
+    analytic = patchrace.exploitable_fraction(params, probe)
+    return [RegressionRow(name, f"exploitable@{probe:g}d", analytic, est)]
 
 
 def run_regression_suite(trials: int = 100_000, workers: int = 1) -> list[RegressionRow]:
     """Run all 20 oracle cases; each row pairs an analytic value with its
     simulated estimate."""
-    rows: list[RegressionRow] = []
-    for case in _regression_cases():
-        rows.extend(case(trials, workers))
-    return rows
+    return [row for case in _regression_cases() for row in _run_case(*case, trials, workers)]

@@ -252,22 +252,19 @@ def exploitable_fraction(s: PatchRaceScenario, t):
     return avail * (1.0 - patched_fraction(s, t))
 
 
-def _sweep_arrays(s: PatchRaceScenario, ts: np.ndarray) -> dict[str, np.ndarray]:
+def race_sweep(s: PatchRaceScenario) -> CurveSeries:
+    """All race curves evaluated at every grid node."""
+    ts = s.grid.nodes()
     patched = _patched(s, ts)
     avail = np.ones_like(ts) if s.instant_exploit else exploit_availability(s.exploit, ts)
-    return {
+    return CurveSeries({
         "t": ts,
         "patch_dev_cdf": patch_developed_cdf(s.dev, ts),
         "patch_dep_cdf": _deployed_cdf(s.effective_deploy_rate, ts),
         "patched_fraction": patched,
         "exploit_availability": avail,
         "exploitable_fraction": avail * (1.0 - patched),
-    }
-
-
-def race_sweep(s: PatchRaceScenario) -> CurveSeries:
-    """All race curves evaluated at every grid node."""
-    return CurveSeries(_sweep_arrays(s, s.grid.nodes()), x_label="t", units="days")
+    }, x_label="t", units="days")
 
 
 def race_summary(s: PatchRaceScenario) -> RaceSummary:
@@ -286,7 +283,7 @@ def race_summary(s: PatchRaceScenario) -> RaceSummary:
     nodes = s.grid.nodes()
     k = int(np.searchsorted(nodes, 365.0))
     ts = np.insert(nodes, k, 365.0)
-    values = _sweep_arrays(s, ts)["exploitable_fraction"]
+    values = exploitable_fraction(s, ts)
     i = int(np.argmax(values))
     return RaceSummary(
         peak_time=float(ts[i]),

@@ -53,8 +53,11 @@ def _prob(v):
     return 0.0 <= v <= 1.0
 
 
+_RACE = PatchRaceScenario()
+
 # key -> (parser, validator or None, human-readable constraint, baseline
-# default); the defaults are the values behind every bundled curve.
+# default); the defaults are the values behind every bundled curve, and the
+# race defaults are read from the PatchRaceScenario field defaults.
 _KEYS: dict[str, dict[str, tuple]] = {
     "phishing": {
         "p_click": (float, _prob, "must be in [0, 1]", 0.03),
@@ -67,19 +70,21 @@ _KEYS: dict[str, dict[str, tuple]] = {
         "label": (str, None, "", "human bug bounty"),
     },
     "patchrace": {
-        "k": (float, lambda v: v > 0, "must be > 0", 0.57),
-        "lambda_days": (float, lambda v: v > 0, "must be > 0", 18.2),
-        "beta_per_day": (float, lambda v: v > 0, "must be > 0", 1.0 / 144.0),
-        "A": (float, lambda v: v >= 0, "must be >= 0", 0.135),
-        "a": (float, lambda v: v >= 0, "must be >= 0", 0.349),
-        "b": (float, lambda v: v >= 0, "must be >= 0", 7.90e-4),
-        "pre_disclosure_fraction": (float, _prob, "must be in [0, 1]", 0.78),
-        "instant_dev": (_parse_bool, None, "", False),
-        "instant_exploit": (_parse_bool, None, "", False),
-        "deploy_speedup": (float, lambda v: v >= 1, "must be >= 1", 1.0),
-        "grid_stop_days": (float, lambda v: v > 0, "must be > 0", 730.0),
-        "grid_step_days": (float, lambda v: v > 0, "must be > 0", 0.25),
-        "clamp_monotone": (_parse_bool, None, "", False),
+        "k": (float, lambda v: v > 0, "must be > 0", _RACE.dev.shape),
+        "lambda_days": (float, lambda v: v > 0, "must be > 0", _RACE.dev.scale_days),
+        "beta_per_day": (float, lambda v: v > 0, "must be > 0", _RACE.dep.rate_per_day),
+        "A": (float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.amplitude),
+        "a": (float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.growth_exponent),
+        "b": (float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.decay_per_day),
+        "pre_disclosure_fraction": (
+            float, _prob, "must be in [0, 1]", _RACE.pre_disclosure_patch_fraction
+        ),
+        "instant_dev": (_parse_bool, None, "", _RACE.instant_dev),
+        "instant_exploit": (_parse_bool, None, "", _RACE.instant_exploit),
+        "deploy_speedup": (float, lambda v: v >= 1, "must be >= 1", _RACE.deploy_speedup),
+        "grid_stop_days": (float, lambda v: v > 0, "must be > 0", _RACE.grid.stop),
+        "grid_step_days": (float, lambda v: v > 0, "must be > 0", _RACE.grid.step),
+        "clamp_monotone": (_parse_bool, None, "", _RACE.exploit.clamp_monotone),
     },
     "montecarlo": {
         "trials": (int, lambda v: v >= 1, "must be >= 1", 100_000),

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cybermodels import patchrace
+from cybermodels import cli, patchrace
 from cybermodels.cli import FIGURE_NAMES, main
 from cybermodels.scenario import resolve_scenario
 from cybermodels.series import rows_to_csv
@@ -214,6 +214,18 @@ class TestSimulateCommand:
         assert err == ""
         assert explicit == forced
 
+    @pytest.mark.parametrize(
+        "kind, extra", [("phishing", []), ("discovery", ["--t2", "9"]), ("race", [])]
+    )
+    def test_workers_override_keeps_stdout(self, kind, extra, capsys):
+        # 70000 trials make three blocks, so two workers really share them
+        args = ["simulate", "--kind", kind, "--trials", "70000", *extra]
+        code, solo, _ = run_cli([*args, "--workers", "1"], capsys)
+        assert code == 0
+        code, pooled, _ = run_cli([*args, "--workers", "2"], capsys)
+        assert code == 0
+        assert pooled == solo
+
     def test_discovery_simulation(self, capsys):
         code, out, _ = run_cli(
             [
@@ -284,6 +296,16 @@ class TestFiguresCommand:
 
 
 class TestExitCodes:
+    def test_unexpected_failure_exits_2(self, monkeypatch, capsys):
+        def broken_sweep(s):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(cli.patchrace, "race_sweep", broken_sweep)
+        code, out, err = run_cli(["patchrace"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("runtime error:")
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run_cli(["explode"], capsys)
         assert code == 1

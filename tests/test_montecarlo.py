@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +17,14 @@ from cybermodels.montecarlo import (
     simulate_phishing,
     simulate_race,
 )
-from cybermodels.patchrace import ExploitCurveParams, PatchRaceScenario
+from cybermodels.patchrace import ExploitCurveParams, PatchRaceScenario, exploitable_fraction
 from cybermodels.phishing import PhishingParams
 from cybermodels.vulndisc import PowerLawTester
 
 BASELINE = PhishingParams(0.03, 0.015, 0.01)
 CLAMPED = PatchRaceScenario(exploit=ExploitCurveParams(clamp_monotone=True))
-ORACLE_GOLDEN = Path(__file__).resolve().parent / "golden" / "oracle_suite_2000.csv"
+ROOT = Path(__file__).resolve().parents[1]
+ORACLE_GOLDEN = ROOT / "tests" / "golden" / "oracle_suite_2000.csv"
 
 
 class TestConfig:
@@ -136,6 +140,15 @@ class TestRaceSimulation:
         est = simulate_race(s, [144.0], SimConfig(trials=200_000, seed=21))[0]
         assert abs(est.mean - math.exp(-1.0)) <= 4 * est.std_error
 
+    def test_flat_clamped_curve_matches_analytic(self):
+        # growth exponent 0: every exploit that ever arrives is there at day 0;
+        # seed 7101 was fixed before the first run
+        s = PatchRaceScenario(
+            exploit=ExploitCurveParams(amplitude=0.2, growth_exponent=0.0, clamp_monotone=True)
+        )
+        est = simulate_race(s, [55.0], SimConfig(trials=200_000, seed=7101))[0]
+        assert abs(est.mean - exploitable_fraction(s, 55.0)) <= 4 * est.std_error
+
     def test_negative_probe_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             simulate_race(CLAMPED, [-5.0], SimConfig(trials=10, seed=1))
@@ -160,3 +173,12 @@ class TestRegressionSuite:
             for row in run_regression_suite(trials=2000, workers=workers)
         ]
         assert got == golden
+
+    def test_oracle_script_reports_every_case_agreeing(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_oracle_suite.py"), "--trials", "2000"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "20 cases, 36 checks, 0 outside 4 standard errors"

@@ -1,6 +1,7 @@
 import pytest
 
 from cybermodels.numerics import Grid
+from cybermodels.patchrace import PatchRaceScenario
 from cybermodels.scenario import (
     ScenarioError,
     build_scenario,
@@ -34,6 +35,9 @@ class TestDefaults:
         assert scn.race.pre_disclosure_patch_fraction == 0.78
         assert scn.race.grid == Grid(0.0, 730.0, 0.25)
         assert scn.sim.workers == 1
+
+    def test_race_defaults_are_the_dataclass_defaults(self):
+        assert default_scenario().race == PatchRaceScenario()
 
     def test_comments_and_blanks_ignored(self):
         scn = parse("# comment\n\n[phishing]\n# another\np_click = 0.1\n")
