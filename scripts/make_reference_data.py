@@ -9,7 +9,7 @@ spreads 160 events proportionally to the availability-curve increments.
 from pathlib import Path
 
 from cybermodels.calibration import reference_exploit_histogram, reference_patch_dev_samples
-from cybermodels.series import rows_to_csv
+from cybermodels.series import rows_to_csv, write_text
 
 
 def main() -> None:
@@ -17,18 +17,13 @@ def main() -> None:
     outdir.mkdir(exist_ok=True)
 
     samples = reference_patch_dev_samples()
-    (outdir / "patch_dev_reference.csv").write_text(
-        rows_to_csv(["t", "fraction"], [[s.t, s.fraction] for s in samples]),
-        encoding="utf-8",
-    )
+    dev_rows = [[s.t, s.fraction] for s in samples]
+    write_text(rows_to_csv(["t", "fraction"], dev_rows), outdir / "patch_dev_reference.csv")
 
     hist = reference_exploit_histogram()
-    rows = [
-        [start, end, count]
-        for start, end, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
-    ]
-    (outdir / "exploit_delay_reference.csv").write_text(
-        rows_to_csv(["bin_start", "bin_end", "count"], rows), encoding="utf-8"
+    rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
+    write_text(
+        rows_to_csv(["bin_start", "bin_end", "count"], rows), outdir / "exploit_delay_reference.csv"
     )
     print(f"wrote {outdir / 'patch_dev_reference.csv'} ({len(samples)} rows)")
     print(f"wrote {outdir / 'exploit_delay_reference.csv'} ({len(hist.counts)} bins)")

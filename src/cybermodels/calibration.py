@@ -32,6 +32,8 @@ class CdfSample:
     fraction: float
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
         if not 0.0 <= self.fraction <= 1.0:
@@ -54,6 +56,8 @@ class DelayHistogram:
         counts = np.asarray(self.counts, dtype=float)
         if len(edges) < 2:
             raise ValueError("need at least two bin edges")
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("bin edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
         if len(counts) != len(edges) - 1:
@@ -148,6 +152,7 @@ def implied_unexploited(fit: FitResult, hist: DelayHistogram) -> float:
 # ---------------------------------------------------------------------------
 
 REFERENCE_WEIBULL = (0.57, 18.2)
+REFERENCE_DEV_DAYS = 120
 
 # Day the availability curve reaches the exploited share seen in the private
 # developer comparison (160 of ~239.7); ends the reference histogram while
@@ -156,11 +161,11 @@ REFERENCE_EXPLOIT_SUPPORT_DAYS = 131
 REFERENCE_EXPLOIT_EVENTS = 160.0
 
 
-def reference_patch_dev_samples(t_max: int = 120) -> list[CdfSample]:
-    """Synthetic development-delay CDF at t = 1..t_max days, generated from
-    the baseline Weibull parameters. Stands in for the empirical timeline
-    points, which are not redistributable."""
-    ts = np.arange(1.0, t_max + 1)
+def reference_patch_dev_samples() -> list[CdfSample]:
+    """Synthetic development-delay CDF at t = 1..REFERENCE_DEV_DAYS days,
+    generated from the baseline Weibull parameters. Stands in for the
+    empirical timeline points, which are not redistributable."""
+    ts = np.arange(1.0, REFERENCE_DEV_DAYS + 1)
     fractions = patch_developed_cdf(WeibullParams(*REFERENCE_WEIBULL), ts)
     return [CdfSample(t, f) for t, f in zip(ts.tolist(), fractions.tolist())]
 
@@ -178,48 +183,49 @@ def reference_exploit_histogram() -> DelayHistogram:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+def _read_table(path, columns: tuple[str, ...]):
+    """Yield (line number, floats of ``columns``) for each non-blank row of a
+    CSV file with a header row; extra columns are ignored. Lines starting
+    with '#' are comments; they count in line numbers, which are physical
+    lines of the file."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot read CSV file {path}: {exc}") from None
     with fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a CSV header row") from None
-        header = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a CSV header row")
+        position = {h.strip(): i for i, h in enumerate(header)}
+        for col in columns:
+            if col not in position:
+                raise ValueError(f"{path}: missing required column {col!r}")
+        for row in reader:
+            if all(not c.strip() for c in row):
                 continue
+            lineno = reader.line_num
+            where = f"{path}: line {lineno}"
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append((lineno, dict(zip(header, (c.strip() for c in row)))))
-    return header, rows
-
-
-def _parse_float(path, lineno, key, raw) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{path}: line {lineno}: {key}={raw!r} is not a number") from None
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            values = []
+            for col in columns:
+                raw = row[position[col]].strip()
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise ValueError(f"{where}: {col}={raw!r} is not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: {col}={raw!r} is not finite")
+                values.append(value)
+            yield lineno, values
 
 
 def read_cdf_samples(path) -> list[CdfSample]:
     """Load cumulative samples from a CSV with columns ``t,fraction``
     (extra columns are ignored)."""
-    header, rows = _read_rows(path)
-    for col in ("t", "fraction"):
-        if col not in header:
-            raise ValueError(f"{path}: missing required column {col!r}")
     samples = []
-    for lineno, row in rows:
-        t = _parse_float(path, lineno, "t", row["t"])
-        frac = _parse_float(path, lineno, "fraction", row["fraction"])
+    for lineno, (t, frac) in _read_table(path, ("t", "fraction")):
         try:
             samples.append(CdfSample(t, frac))
         except ValueError as exc:
@@ -230,18 +236,9 @@ def read_cdf_samples(path) -> list[CdfSample]:
 def read_delay_histogram(path) -> DelayHistogram:
     """Load a histogram from a CSV with columns ``bin_start,bin_end,count``;
     bins must be contiguous."""
-    header, rows = _read_rows(path)
-    for col in ("bin_start", "bin_end", "count"):
-        if col not in header:
-            raise ValueError(f"{path}: missing required column {col!r}")
-    if not rows:
-        raise ValueError(f"{path}: no histogram rows")
     edges: list[float] = []
     counts: list[float] = []
-    for lineno, row in rows:
-        start = _parse_float(path, lineno, "bin_start", row["bin_start"])
-        end = _parse_float(path, lineno, "bin_end", row["bin_end"])
-        count = _parse_float(path, lineno, "count", row["count"])
+    for lineno, (start, end, count) in _read_table(path, ("bin_start", "bin_end", "count")):
         if edges and start != edges[-1]:
             raise ValueError(
                 f"{path}: line {lineno}: bins must be contiguous "
@@ -251,6 +248,8 @@ def read_delay_histogram(path) -> DelayHistogram:
             edges.append(start)
         edges.append(end)
         counts.append(count)
+    if not counts:
+        raise ValueError(f"{path}: no histogram rows")
     try:
         return DelayHistogram(tuple(edges), tuple(counts))
     except ValueError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 from . import calibration, montecarlo, patchrace, phishing, vulndisc
 from .montecarlo import RNG_ALGORITHM, SimConfig
 from .scenario import ScenarioError, resolve_scenario
-from .series import CurveSeries, rows_to_csv
+from .series import CurveSeries, rows_to_csv, write_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -85,42 +85,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _cmd_phishing(args) -> int:
+def _cmd_phishing(args) -> str:
     if args.sweep < 1:
         raise _CliValidationError(f"--sweep must be >= 1 (got {args.sweep})")
     scn = resolve_scenario(args.scenario)
-    _write_text(phishing.campaign_sweep(scn.phishing, args.sweep).to_csv(), args.out)
-    return EXIT_OK
+    return phishing.campaign_sweep(scn.phishing, args.sweep).to_csv()
 
 
-def _cmd_vulndisc(args) -> int:
+def _cmd_vulndisc(args) -> str:
     if args.weeks < 1:
         raise _CliValidationError(f"--weeks must be >= 1 (got {args.weeks})")
     scn = resolve_scenario(args.scenario)
     series = vulndisc.weekly_series(scn.tester, args.weeks)
     cumulative = np.cumsum(series.column("discoveries"))
-    out = CurveSeries(
+    return CurveSeries(
         {
             "week": series.column("week"),
             "discoveries": series.column("discoveries"),
             "cumulative": cumulative,
         },
         x_label="week",
-        units=series.units,
-    )
-    _write_text(out.to_csv(), args.out)
-    return EXIT_OK
+    ).to_csv()
 
 
-def _cmd_patchrace(args) -> int:
+def _cmd_patchrace(args) -> str:
     scn = resolve_scenario(args.scenario)
     if args.summary:
         with warnings.catch_warnings(record=True) as caught:
@@ -128,44 +116,38 @@ def _cmd_patchrace(args) -> int:
             s = patchrace.race_summary(scn.race)
         for w in caught:
             print(f"notice: {w.message}", file=sys.stderr)
-        text = rows_to_csv(
+        return rows_to_csv(
             ["peak_time_days", "peak_fraction", "fraction_at_1yr"],
             [[s.peak_time, s.peak_fraction, s.fraction_at_1yr]],
         )
-    else:
-        text = patchrace.race_sweep(scn.race).to_csv()
-    _write_text(text, args.out)
-    return EXIT_OK
+    return patchrace.race_sweep(scn.race).to_csv()
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> str:
     scn = resolve_scenario(args.scenario)
     if args.kind == "weibull":
         samples = calibration.read_cdf_samples(args.data)
         fit = calibration.fit_weibull_cdf(samples)
-        text = rows_to_csv(
+        return rows_to_csv(
             ["k", "lambda_days", "residual", "iterations", "converged"],
             [[fit.params[0], fit.params[1], fit.residual, fit.iterations, fit.converged]],
         )
-    else:
-        hist = calibration.read_delay_histogram(args.data)
-        fit = calibration.fit_exploit_total(hist, scn.race.exploit)
-        text = rows_to_csv(
-            ["total", "exploited", "unexploited", "residual", "iterations", "converged"],
-            [[
-                fit.params[0],
-                hist.total,
-                calibration.implied_unexploited(fit, hist),
-                fit.residual,
-                fit.iterations,
-                fit.converged,
-            ]],
-        )
-    _write_text(text, args.out)
-    return EXIT_OK
+    hist = calibration.read_delay_histogram(args.data)
+    fit = calibration.fit_exploit_total(hist, scn.race.exploit)
+    return rows_to_csv(
+        ["total", "exploited", "unexploited", "residual", "iterations", "converged"],
+        [[
+            fit.params[0],
+            hist.total,
+            calibration.implied_unexploited(fit, hist),
+            fit.residual,
+            fit.iterations,
+            fit.converged,
+        ]],
+    )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     scn = resolve_scenario(args.scenario)
     cfg = scn.sim
     if args.trials is not None:
@@ -183,29 +165,24 @@ def _cmd_simulate(args) -> int:
             ["p_no_alert", est.no_alert.mean, est.no_alert.std_error, *meta],
             ["p_undetected", est.undetected.mean, est.undetected.std_error, *meta],
         ]
-        text = rows_to_csv(["quantity", "mean", "std_error", "trials", "seed", "rng"], rows)
-    elif args.kind == "discovery":
+        return rows_to_csv(["quantity", "mean", "std_error", "trials", "seed", "rng"], rows)
+    if args.kind == "discovery":
         est = montecarlo.simulate_discovery(scn.tester, args.t1, args.t2, cfg)
-        text = rows_to_csv(
+        return rows_to_csv(
             ["t1_weeks", "t2_weeks", "mean", "std_error", "trials", "seed", "rng"],
             [[args.t1, args.t2, est.mean, est.std_error, *meta]],
         )
-    else:
-        probes = args.probe or [55.0, 365.0]
-        race = scn.race
-        if not race.exploit.clamp_monotone:
-            print("notice: simulate --kind race samples the clamped exploit curve "
-                  "(clamp_monotone = true)", file=sys.stderr)
-            race = replace(race, exploit=replace(race.exploit, clamp_monotone=True))
-        ests = montecarlo.simulate_race(race, probes, cfg)
-        rows = [
-            [probe, est.mean, est.std_error, *meta] for probe, est in zip(probes, ests)
-        ]
-        text = rows_to_csv(
-            ["probe_days", "exploitable_fraction", "std_error", "trials", "seed", "rng"], rows
-        )
-    _write_text(text, args.out)
-    return EXIT_OK
+    probes = args.probe or [55.0, 365.0]
+    race = scn.race
+    if not race.exploit.clamp_monotone:
+        print("notice: simulate --kind race samples the clamped exploit curve "
+              "(clamp_monotone = true)", file=sys.stderr)
+        race = replace(race, exploit=replace(race.exploit, clamp_monotone=True))
+    ests = montecarlo.simulate_race(race, probes, cfg)
+    rows = [[probe, est.mean, est.std_error, *meta] for probe, est in zip(probes, ests)]
+    return rows_to_csv(
+        ["probe_days", "exploitable_fraction", "std_error", "trials", "seed", "rng"], rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +194,7 @@ def _columns(x: str, sources: dict[str, CurveSeries], column: str) -> CurveSerie
     """``x`` from the first source, then ``column`` of each source under its name."""
     first = next(iter(sources.values()))
     cols = {name: series.column(column) for name, series in sources.items()}
-    return CurveSeries({x: first.column(x), **cols}, x_label=x, units=first.units)
+    return CurveSeries({x: first.column(x), **cols}, x_label=x)
 
 
 def _discoveries(weeks: int) -> CurveSeries:
@@ -251,7 +228,7 @@ def _dev_refit(race, sweep) -> CurveSeries:
     ts, fractions = np.array([(s.t, s.fraction) for s in samples]).T
     return CurveSeries(
         {"t": ts, "fraction": fractions, "fitted_cdf": patchrace.patch_developed_cdf(fitted, ts)},
-        x_label="t", units="days",
+        x_label="t",
     )
 
 
@@ -259,7 +236,7 @@ def _patch_available(race, sweep) -> CurveSeries:
     ts = np.arange(0.0, 120.5, 0.5)
     pre = race.pre_disclosure_patch_fraction
     available = patchrace.patch_developed_all_vulns(race.dev, pre, ts)
-    return CurveSeries({"t": ts, "patch_available_fraction": available}, x_label="t", units="days")
+    return CurveSeries({"t": ts, "patch_available_fraction": available}, x_label="t")
 
 
 def _exploit_total(race, sweep) -> CurveSeries:
@@ -279,7 +256,7 @@ def _exploitable_factors(race, sweep) -> CurveSeries:
         "exploit_availability": sweep.column("exploit_availability"),
         "unpatched_fraction": 1.0 - sweep.column("patched_fraction"),
         "exploitable_fraction": sweep.column("exploitable_fraction"),
-    }, x_label="t", units="days")
+    }, x_label="t")
 
 
 # figure name -> builder(baseline race scenario, its race_sweep). Builders
@@ -298,7 +275,7 @@ FIGURES = {
     # development, deployment, and total-delay CDFs
     "fig6": lambda race, sweep: CurveSeries(
         {c: sweep.column(c) for c in ("t", "patch_dev_cdf", "patch_dep_cdf", "patched_fraction")},
-        x_label="t", units="days",
+        x_label="t",
     ),
     # total-vulnerability normalization of the reference exploit-delay histogram
     "fig7-summary": _exploit_total,
@@ -321,14 +298,13 @@ FIGURES = {
 FIGURE_NAMES = tuple(FIGURES)
 
 
-def _cmd_figures(args) -> int:
+def _cmd_figures(args) -> None:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     race = resolve_scenario(None).race
     sweep = patchrace.race_sweep(race)
     for name, build in FIGURES.items():
         build(race, sweep).write_csv(outdir / f"{name}.csv")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -351,7 +327,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command](args)
+        if text is not None:  # figures writes its own directory
+            write_text(text, args.out)
+        return EXIT_OK
     except (_CliValidationError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -20,6 +20,7 @@ import numpy as np
 REL_RESIDUAL_TOL = 1e-10
 STEP_TOL = 1e-9
 N_STARTS = 5
+MAX_ITERATIONS = 4000  # per Nelder-Mead search
 
 _JITTER_SEED = 1905  # fixed so fits are bit-for-bit reproducible across runs
 
@@ -109,7 +110,6 @@ def least_squares_fit(
     data: Sequence[tuple[float, float]],
     initial: Sequence[float],
     bounds: Sequence[tuple[float, float]],
-    max_iterations: int = 4000,
 ) -> FitResult:
     """Minimize sum((model(params, x) - y)^2) over box-bounded params.
 
@@ -146,46 +146,37 @@ def least_squares_fit(
 
     scale = np.where(np.isfinite(hi - lo), 0.25 * (hi - lo), np.maximum(1.0, np.abs(x0)))
     rng = np.random.default_rng(_JITTER_SEED)
-    starts = [x0]
-    for _ in range(N_STARTS - 1):
-        starts.append(np.clip(x0 + scale * rng.uniform(-1.0, 1.0, n_params), lo, hi))
-
-    best: tuple[np.ndarray, float, bool] | None = None
-    total_iters = 0
-    for start in starts:
-        p, v, iters, conv = _nelder_mead(sse, start, lo, hi, max_iterations)
-        total_iters += iters
-        if best is None or v < best[1]:
-            best = (p, v, conv)
-    params, residual, converged = best
+    jittered = [np.clip(x0 + scale * rng.uniform(-1.0, 1.0, n_params), lo, hi)
+                for _ in range(N_STARTS - 1)]
+    runs = [_nelder_mead(sse, start, lo, hi) for start in [x0, *jittered]]
+    params, residual, _, converged = min(runs, key=lambda run: run[1])  # first best wins ties
+    total_iters = sum(run[2] for run in runs)
     return FitResult(tuple(float(p) for p in params), residual, total_iters, converged)
 
 
-def _nelder_mead(fn, x0, lo, hi, max_iterations):
+def _nelder_mead(fn, x0, lo, hi):
     """Nelder-Mead with candidates clipped into [lo, hi]; returns
-    (best_params, best_value, iterations, converged)."""
+    (best_params, best_value, iterations, converged). The simplex is one
+    (n+1, n) array of vertices, sorted by value at the top of each iteration."""
     n = x0.size
     span = np.where(np.isfinite(hi - lo), hi - lo, np.maximum(1.0, np.abs(x0)) * 2)
     step = 0.05 * span
 
-    simplex = [np.clip(x0, lo, hi)]
-    for i in range(n):
-        v = simplex[0].copy()
-        v[i] += step[i]
-        if v[i] > hi[i]:
-            v[i] = simplex[0][i] - step[i]
-        simplex.append(np.clip(v, lo, hi))
-    values = [fn(v) for v in simplex]
+    base = np.clip(x0, lo, hi)
+    simplex = np.tile(base, (n + 1, 1))
+    up = base + step
+    np.fill_diagonal(simplex[1:], np.where(up > hi, base - step, up))
+    simplex = np.clip(simplex, lo, hi)
+    values = np.array([fn(v) for v in simplex])
 
     converged = False
     iters = 0
-    for iters in range(1, max_iterations + 1):
+    for iters in range(1, MAX_ITERATIONS + 1):
         order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
+        simplex, values = simplex[order], values[order]
 
         spread = values[-1] - values[0]
-        extent = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
+        extent = float(np.max(np.abs(simplex[1:] - simplex[0])))
         if spread <= REL_RESIDUAL_TOL * max(abs(values[0]), 1e-300) or extent < STEP_TOL:
             converged = True
             break
@@ -208,9 +199,8 @@ def _nelder_mead(fn, x0, lo, hi, max_iterations):
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contract, f_c
             else:
-                for i in range(1, n + 1):
-                    simplex[i] = np.clip(simplex[0] + 0.5 * (simplex[i] - simplex[0]), lo, hi)
-                    values[i] = fn(simplex[i])
+                simplex[1:] = np.clip(simplex[0] + 0.5 * (simplex[1:] - simplex[0]), lo, hi)
+                values[1:] = [fn(v) for v in simplex[1:]]
 
-    order = np.argsort(values, kind="stable")
-    return simplex[order[0]], values[order[0]], iters, converged
+    best = int(np.argmin(values))
+    return simplex[best], float(values[best]), iters, converged

@@ -264,7 +264,7 @@ def race_sweep(s: PatchRaceScenario) -> CurveSeries:
         "patched_fraction": patched,
         "exploit_availability": avail,
         "exploitable_fraction": avail * (1.0 - patched),
-    }, x_label="t", units="days")
+    }, x_label="t")
 
 
 def race_summary(s: PatchRaceScenario) -> RaceSummary:

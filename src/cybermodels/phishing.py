@@ -104,5 +104,4 @@ def campaign_sweep(params: PhishingParams, n_max: int) -> CurveSeries:
     return CurveSeries(
         {"n": ns, "p_infection": inf, "p_no_alert": noal, "p_undetected": inf * noal},
         x_label="n",
-        units="messages",
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,6 +29,16 @@ def rows_to_csv(header: list[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(text: str, path) -> None:
+    """Write CSV text as UTF-8, line endings untouched, to ``path`` or, when
+    ``path`` is None, to standard output."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 @dataclass(frozen=True)
 class CurveSeries:
     """Named equal-length numeric columns; ``x_label`` names the (strictly
@@ -35,7 +46,6 @@ class CurveSeries:
 
     columns: dict[str, np.ndarray]
     x_label: str
-    units: str = ""
 
     def __post_init__(self):
         if not self.columns:
@@ -67,5 +77,4 @@ class CurveSeries:
         )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+        write_text(self.to_csv(), path)

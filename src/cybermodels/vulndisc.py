@@ -161,5 +161,4 @@ def weekly_series(tester: PowerLawTester, weeks: int) -> CurveSeries:
     return CurveSeries(
         {"week": week, "discoveries": expected_discoveries(tester, *week_interval(tester, week))},
         x_label="week",
-        units="discoveries per week",
     )

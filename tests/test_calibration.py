@@ -1,4 +1,8 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,8 @@ from cybermodels.calibration import (
 from cybermodels.patchrace import ExploitCurveParams, exploit_availability
 from cybermodels.vulndisc import PowerLawTester, expected_discoveries
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
 
 
 def weibull_cdf_samples(shape, scale, ts):
@@ -36,6 +41,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             CdfSample(1.0, 1.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_cdf_sample_rejects_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            CdfSample(t, 0.3)
+
     def test_histogram_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             DelayHistogram((0.0, 1.0, 1.0), (1.0, 2.0))
@@ -43,6 +53,11 @@ class TestTypes:
             DelayHistogram((0.0, 1.0, 2.0), (1.0,))
         with pytest.raises(ValueError, match=">= 0"):
             DelayHistogram((0.0, 1.0), (-1.0,))
+
+    @pytest.mark.parametrize("edge", [math.nan, math.inf])
+    def test_histogram_rejects_non_finite_edges(self, edge):
+        with pytest.raises(ValueError, match="bin edges must be finite"):
+            DelayHistogram((0.0, 1.0, edge), (1.0, 2.0))
 
 
 class TestFitWeibullCdf:
@@ -215,6 +230,35 @@ class TestCsvInput:
         with pytest.raises(ValueError, match="line 3"):
             read_delay_histogram(path)
 
+    def test_comment_lines_count_in_line_numbers(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("# source\n# units: days\nt,fraction\n1,0.25\n2,oops\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 5:"):
+            read_cdf_samples(path)
+
+    def test_quoted_multiline_field_counts_its_lines(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text(
+            't,fraction,notes\n1,0.25,"two\nlines"\n2,0.5,x\n3,oops,x\n', encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="line 5:"):
+            read_cdf_samples(path)
+        path.write_text('t,fraction,notes\n1,0.25,"two\nlines"\n2,0.5,x\n', encoding="utf-8")
+        assert read_cdf_samples(path) == [CdfSample(1.0, 0.25), CdfSample(2.0, 0.5)]
+
+    @pytest.mark.parametrize("read,text,cell", [
+        (read_cdf_samples, "t,fraction\n1,0.25\nnan,0.3\n", "t='nan'"),
+        (read_cdf_samples, "t,fraction\n1,0.25\ninf,0.3\n", "t='inf'"),
+        (read_cdf_samples, "t,fraction\n1,0.25\n-inf,0.3\n", "t='-inf'"),
+        (read_delay_histogram, "bin_start,bin_end,count\n0,10,5\n10,inf,3\n", "bin_end='inf'"),
+        (read_delay_histogram, "bin_start,bin_end,count\n0,10,5\n10,20,nan\n", "count='nan'"),
+    ], ids=["t-nan", "t-inf", "t-neg-inf", "bin-end-inf", "count-nan"])
+    def test_non_finite_cell_names_line(self, tmp_path, read, text, cell):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 3: {cell} is not finite"):
+            read(path)
+
     def test_missing_file_is_value_error(self):
         with pytest.raises(ValueError, match="cannot read"):
             read_cdf_samples("/does/not/exist.csv")
@@ -240,6 +284,17 @@ class TestBundledReferenceData:
         generated = reference_exploit_histogram()
         assert from_file.bin_edges == generated.bin_edges
         assert np.allclose(from_file.counts, generated.counts, atol=1e-9)
+
+    def test_script_regenerates_data_byte_for_byte(self, tmp_path):
+        (tmp_path / "scripts").mkdir()
+        script = shutil.copy(ROOT / "scripts" / "make_reference_data.py", tmp_path / "scripts")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, check=False
+        )
+        assert result.returncode == 0, result.stderr
+        for name in ("patch_dev_reference.csv", "exploit_delay_reference.csv"):
+            assert (tmp_path / "data" / name).read_bytes() == (DATA_DIR / name).read_bytes()
 
     def test_fit_on_bundled_file(self):
         samples = read_cdf_samples(DATA_DIR / "patch_dev_reference.csv")

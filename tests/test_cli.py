@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,22 @@ class TestFitCommand:
         assert code == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize("kind,text,cell", [
+        ("weibull", "t,fraction\n1,0.2\nnan,0.3\n2,0.5\n3,0.7\n", "t='nan'"),
+        ("exploit-total", "bin_start,bin_end,count\n0,10,5\n10,inf,3\n", "bin_end='inf'"),
+    ], ids=["weibull", "exploit-total"])
+    def test_non_finite_input_exits_1_naming_the_line(self, kind, text, cell, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["fit", "--kind", kind, "--data", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"line 3: {cell} is not finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_scenario_exits_1(self, capsys):
         code, _, err = run_cli(
             ["patchrace", "--scenario", "/missing/file.scn", "--summary"], capsys
@@ -302,6 +319,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.patchrace, "race_sweep", broken_sweep)
         code, out, err = run_cli(["patchrace"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("runtime error:")
+
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "no_such_dir" / "out.csv"
+        code, out, err = run_cli(["phishing", "--sweep", "5", "--out", str(out_path)], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("runtime error:")
