@@ -135,14 +135,18 @@ def least_squares_fit(
     xs, ys = np.asarray(data, dtype=float).T
 
     def sse(params: np.ndarray) -> float:
-        preds = np.broadcast_to(np.asarray(model(params, xs), dtype=float), xs.shape)
-        if not np.all(np.isfinite(preds)):
-            bad = int(np.argmax(~np.isfinite(preds)))
-            raise ValueError(
-                f"model evaluated to a non-finite value at x={xs[bad]} with params={params.tolist()}"
-            )
+        preds = np.asarray(model(params, xs), dtype=float)
+        if preds.shape != xs.shape:  # a wrong shape raises ValueError here
+            preds = np.broadcast_to(preds, xs.shape)
         r = preds - ys
-        return float(r @ r)
+        value = float(r @ r)
+        if not math.isfinite(value):  # every non-finite prediction lands here
+            raise_at_first(
+                ~np.isfinite(preds),
+                f"model evaluated to a non-finite value at x={{x}} with params={params.tolist()}",
+                x=xs,
+            )
+        return value  # inf when finite predictions overflow the squared sum
 
     scale = np.where(np.isfinite(hi - lo), 0.25 * (hi - lo), np.maximum(1.0, np.abs(x0)))
     rng = np.random.default_rng(_JITTER_SEED)

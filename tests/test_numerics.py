@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,47 @@ class TestLeastSquares:
                 [4.0],
                 [(0.0, 10.0)],
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_message_names_the_x_and_params(self, bad):
+        with pytest.raises(
+            ValueError,
+            match=re.escape("non-finite value at x=2.0 with params=[1.5]"),
+        ):
+            least_squares_fit(
+                lambda p, x: np.where(x == 2.0, bad, p[0] * x),
+                [(1, 1), (2, 2), (3, 3)],
+                [1.5],
+                [(0.0, 10.0)],
+            )
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2,)])
+    def test_model_of_wrong_shape_raises_value_error(self, shape):
+        with pytest.raises(ValueError):
+            least_squares_fit(
+                lambda p, x: np.full(shape, p[0]),
+                [(1, 1), (2, 2), (3, 3)],
+                [1.5],
+                [(0.0, 10.0)],
+            )
+
+    def test_scalar_model_is_broadcast_over_the_data(self):
+        fit = least_squares_fit(
+            lambda p, x: p[0], [(1, 1), (2, 2), (3, 3)], [1.5], [(0.0, 10.0)]
+        )
+        assert fit.params[0] == pytest.approx(2.0, abs=1e-6)
+
+    def test_overflowing_squares_of_finite_predictions_do_not_raise(self):
+        # At the initial point, and only there, every prediction is finite
+        # (about 1e200) but the squared sum overflows to inf; the search moves
+        # on and fits y = 2x.
+        def model(p, x):
+            return (1e200 if p[0] == 0.5 else p[0]) * x
+
+        with np.errstate(over="ignore"):
+            fit = least_squares_fit(model, [(1, 2), (2, 4), (3, 6)], [0.5], [(0.0, 10.0)])
+        assert fit.params[0] == pytest.approx(2.0, abs=1e-6)
+        assert fit.residual < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
