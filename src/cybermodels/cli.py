@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, montecarlo, patchrace, phishing, vulndisc
-from .montecarlo import RNG_ALGORITHM, SimConfig
-from .scenario import ScenarioError, resolve_scenario
+from .montecarlo import RNG_ALGORITHM
+from .scenario import resolve_scenario
 from .series import CurveSeries, rows_to_csv, write_text
 
 EXIT_OK = 0
@@ -28,15 +28,11 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-class _CliValidationError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; bad arguments are
     # validation failures here, which must exit 1
     def error(self, message):
-        raise _CliValidationError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -48,26 +44,31 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output CSV path (default: standard output)")
 
     p = sub.add_parser("phishing", help="campaign sweep over message counts")
+    p.set_defaults(run=_cmd_phishing)
     add_common(p)
     p.add_argument("--sweep", type=int, default=1000, metavar="N",
                    help="largest campaign size to evaluate (default 1000)")
 
     p = sub.add_parser("vulndisc", help="weekly expected-discovery series")
+    p.set_defaults(run=_cmd_vulndisc)
     add_common(p)
     p.add_argument("--weeks", type=int, default=52, metavar="N",
                    help="number of weeks to tabulate (default 52)")
 
     p = sub.add_parser("patchrace", help="patch-vs-exploit race curves")
+    p.set_defaults(run=_cmd_patchrace)
     add_common(p)
     p.add_argument("--summary", action="store_true",
                    help="emit peak time/fraction and 1-year fraction instead of the sweep")
 
     p = sub.add_parser("fit", help="fit model parameters to CSV data")
+    p.set_defaults(run=_cmd_fit)
     add_common(p)
     p.add_argument("--kind", required=True, choices=("weibull", "exploit-total"))
     p.add_argument("--data", required=True, help="input CSV path")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates")
+    p.set_defaults(run=_cmd_simulate)
     add_common(p)
     p.add_argument("--kind", required=True, choices=("phishing", "discovery", "race"))
     p.add_argument("--n", type=int, default=26, help="campaign size (phishing)")
@@ -80,6 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, help="override scenario worker count")
 
     p = sub.add_parser("figures", help="regenerate every bundled figure dataset")
+    p.set_defaults(run=_cmd_figures)
     p.add_argument("--out", default="figures", help="output directory (default ./figures)")
 
     return parser
@@ -87,25 +89,18 @@ def _build_parser() -> _Parser:
 
 def _cmd_phishing(args) -> str:
     if args.sweep < 1:
-        raise _CliValidationError(f"--sweep must be >= 1 (got {args.sweep})")
+        raise ValueError(f"--sweep must be >= 1 (got {args.sweep})")
     scn = resolve_scenario(args.scenario)
     return phishing.campaign_sweep(scn.phishing, args.sweep).to_csv()
 
 
 def _cmd_vulndisc(args) -> str:
     if args.weeks < 1:
-        raise _CliValidationError(f"--weeks must be >= 1 (got {args.weeks})")
+        raise ValueError(f"--weeks must be >= 1 (got {args.weeks})")
     scn = resolve_scenario(args.scenario)
     series = vulndisc.weekly_series(scn.tester, args.weeks)
     cumulative = np.cumsum(series.column("discoveries"))
-    return CurveSeries(
-        {
-            "week": series.column("week"),
-            "discoveries": series.column("discoveries"),
-            "cumulative": cumulative,
-        },
-        x_label="week",
-    ).to_csv()
+    return CurveSeries({**series.columns, "cumulative": cumulative}, series.x_label).to_csv()
 
 
 def _cmd_patchrace(args) -> str:
@@ -295,7 +290,6 @@ FIGURES = {
             replace(race, instant_exploit=True, instant_dev=True)),
     }, "exploitable_fraction"),
 }
-FIGURE_NAMES = tuple(FIGURES)
 
 
 def _cmd_figures(args) -> None:
@@ -307,31 +301,21 @@ def _cmd_figures(args) -> None:
         build(race, sweep).write_csv(outdir / f"{name}.csv")
 
 
-_COMMANDS = {
-    "phishing": _cmd_phishing,
-    "vulndisc": _cmd_vulndisc,
-    "patchrace": _cmd_patchrace,
-    "fit": _cmd_fit,
-    "simulate": _cmd_simulate,
-    "figures": _cmd_figures,
-}
+# Built once, after the handlers it names; parse_args leaves the parser as it
+# found it, so every in-process main call parses against the same table.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
-        text = _COMMANDS[args.command](args)
+        args = _PARSER.parse_args(argv)
+        text = args.run(args)
         if text is not None:  # figures writes its own directory
             write_text(text, args.out)
         return EXIT_OK
-    except (_CliValidationError, ScenarioError, ValueError) as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except ValueError as exc:  # bad arguments, scenarios and input files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - anything else is a runtime failure

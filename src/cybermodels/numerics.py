@@ -178,6 +178,8 @@ def _nelder_mead(fn, x0, lo, hi):
     for iters in range(1, MAX_ITERATIONS + 1):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
+        if values[0] == math.inf:  # every vertex overflowed: no point is better
+            break
 
         spread = values[-1] - values[0]
         extent = float(np.max(np.abs(simplex[1:] - simplex[0])))

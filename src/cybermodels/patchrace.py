@@ -86,9 +86,7 @@ class ExploitCurveParams:
     def peak_value(self) -> float:
         if self.amplitude == 0:
             return 0.0
-        if self.growth_exponent == 0:
-            return self.amplitude
-        if self.decay_per_day == 0:
+        if self.peak_time == math.inf:
             return math.inf
         return (
             self.amplitude

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cybermodels import cli, patchrace
-from cybermodels.cli import FIGURE_NAMES, main
+from cybermodels.cli import FIGURES, main
 from cybermodels.scenario import resolve_scenario
 from cybermodels.series import rows_to_csv
 
@@ -256,22 +256,15 @@ class TestSimulateCommand:
         assert body[0][2] > 0  # mean count
 
 
-@pytest.fixture(scope="module")
-def figures_dir(tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("figs")
-    assert main(["figures", "--out", str(outdir)]) == 0
-    return outdir
-
-
 class TestFiguresCommand:
     def test_all_figure_files_exist(self, figures_dir):
-        for name in FIGURE_NAMES:
+        for name in FIGURES:
             path = figures_dir / f"{name}.csv"
             assert path.is_file(), name
             assert path.stat().st_size > 0, name
 
     def test_probability_columns_in_unit_interval(self, figures_dir):
-        for name in FIGURE_NAMES:
+        for name in FIGURES:
             text = (figures_dir / f"{name}.csv").read_text(encoding="utf-8")
             header, body = parse_csv(text)
             assert body, name
@@ -306,7 +299,7 @@ class TestFiguresCommand:
     def test_repeat_run_byte_identical(self, figures_dir, tmp_path):
         again = tmp_path / "figs2"
         assert main(["figures", "--out", str(again)]) == 0
-        for name in FIGURE_NAMES:
+        for name in FIGURES:
             assert (again / f"{name}.csv").read_bytes() == (
                 figures_dir / f"{name}.csv"
             ).read_bytes(), name
@@ -337,3 +330,40 @@ class TestExitCodes:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestSharedParser:
+    """The parser is built once per process; no call may leave state in it."""
+
+    def test_main_never_rebuilds_the_parser(self, monkeypatch, capsys):
+        def rebuild():
+            raise AssertionError("the parser was rebuilt")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        assert run_cli(["phishing", "--sweep", "3"], capsys)[0] == 0
+
+    def test_probe_list_does_not_leak_into_the_next_call(self, capsys):
+        args = ["simulate", "--kind", "race", "--trials", "2000"]
+        first = run_cli(args, capsys)
+        assert first[0] == 0
+        assert len(parse_csv(first[1])[1]) == 2
+        code, out, _ = run_cli([*args, "--probe", "10"], capsys)
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)[1]] == [10]
+        assert run_cli(args, capsys) == first
+
+    @pytest.mark.parametrize("before", [
+        ["--help"],
+        ["simulate", "--help"],
+        ["phishing", "--sweep", "x"],
+        ["phishing", "--sweep", "0"],
+        ["simulate"],
+        ["explode"],
+    ], ids=["help", "subcommand-help", "bad-int", "sweep-0", "missing-kind", "unknown"])
+    def test_help_or_failed_call_leaves_no_state(self, before, capsys):
+        args = ["phishing", "--sweep", "3"]
+        fresh = run_cli(args, capsys)
+        assert fresh[0] == 0
+        assert main(before) in (0, 1)
+        capsys.readouterr()
+        assert run_cli(args, capsys) == fresh

@@ -80,13 +80,6 @@ def test_subcommand_matches_golden(name, tmp_path):
     assert_matches_golden(out, GOLDEN / name)
 
 
-@pytest.fixture(scope="module")
-def figures_dir(tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("golden_figs")
-    assert main(["figures", "--out", str(outdir)]) == 0
-    return outdir
-
-
 # the committed files, not the CLI's figure table, say which figures exist
 GOLDEN_FIGURES = sorted(path.stem for path in (GOLDEN / "figures").glob("*.csv"))
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cybermodels.numerics import FitResult, Grid, argmax_int, integrate_trapezoid, least_squares_fit
+from cybermodels.numerics import (
+    FitResult,
+    Grid,
+    _nelder_mead,
+    argmax_int,
+    integrate_trapezoid,
+    least_squares_fit,
+)
 
 
 class TestGrid:
@@ -188,6 +195,27 @@ class TestLeastSquares:
             fit = least_squares_fit(model, [(1, 2), (2, 4), (3, 6)], [0.5], [(0.0, 10.0)])
         assert fit.params[0] == pytest.approx(2.0, abs=1e-6)
         assert fit.residual < 1e-12
+
+    def test_start_whose_every_vertex_overflows_is_dropped_not_converged(self):
+        # Below p = 1 every prediction is about 1e200, so the squared sum is
+        # inf; three of the four jittered starts clip to 0, where both
+        # vertices are inf, and the first start still fits y = 2x.
+        def model(p, x):
+            return (1e200 if p[0] < 1 else p[0]) * x
+
+        data = [(x, 2.0 * x) for x in range(1, 6)]
+        with np.errstate(over="ignore"):
+            fit = least_squares_fit(model, data, [0.5], [(0.0, 10.0)])
+        assert fit.params == (2.0,)
+        assert fit.residual == 0.0
+
+    def test_nelder_mead_on_an_infinite_objective_stops_unconverged(self):
+        params, value, _, converged = _nelder_mead(
+            lambda p: math.inf, np.array([0.5]), np.array([0.0]), np.array([10.0])
+        )
+        assert value == math.inf
+        assert not converged
+        assert 0.0 <= params[0] <= 10.0
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -47,6 +47,11 @@ class TestTypes:
         e = ExploitCurveParams()
         assert e.peak_time == pytest.approx(0.349 / 7.90e-4)
         assert e.peak_value == pytest.approx(0.797883002813918, abs=1e-12)
+        # a curve that never grows peaks at day 0 at its amplitude, decaying or not
+        for decay in (0.0, 7.9e-4):
+            flat = ExploitCurveParams(amplitude=0.7, growth_exponent=0.0, decay_per_day=decay)
+            assert flat.peak_time == 0.0
+            assert flat.peak_value == 0.7
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="pre_disclosure"):

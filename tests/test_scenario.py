@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
+from cybermodels import scenario
 from cybermodels.numerics import Grid
 from cybermodels.patchrace import PatchRaceScenario
 from cybermodels.scenario import (
@@ -43,6 +47,19 @@ class TestDefaults:
         scn = parse("# comment\n\n[phishing]\n# another\np_click = 0.1\n")
         assert scn.phishing.p_click == 0.1
         assert scn.phishing.p_human_alert == 0.015  # default retained
+
+    def test_readme_example_builds_and_names_every_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        scn = build_scenario(parse_scenario_text(text, "README.md"), "README.md")
+        assert scn.tester.label == "black-box fuzzer"
+        assert scn.phishing.p_click == 0.3
+        sections = re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL)
+        body = dict(sections)
+        assert body.keys() == scenario._KEYS.keys()
+        for section, keys in scenario._KEYS.items():
+            named = re.findall(r"^(\w+) = ", body[section], flags=re.MULTILINE)
+            assert sorted(named) == sorted(keys), section
 
 
 class TestValidation:
