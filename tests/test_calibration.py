@@ -38,7 +38,7 @@ class TestTypes:
     def test_cdf_sample_validation(self):
         with pytest.raises(ValueError):
             CdfSample(-1.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^fraction must be in \[0, 1\], got 1\.5$"):
             CdfSample(1.0, 1.5)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -202,7 +202,7 @@ class TestCsvInput:
     def test_cdf_bad_number_names_line(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("t,fraction\n1,0.25\n2,oops\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3: fraction='oops' is not a number$"):
             read_cdf_samples(path)
 
     def test_cdf_missing_column(self, tmp_path):
@@ -250,13 +250,14 @@ class TestCsvInput:
         (read_cdf_samples, "t,fraction\n1,0.25\nnan,0.3\n", "t='nan'"),
         (read_cdf_samples, "t,fraction\n1,0.25\ninf,0.3\n", "t='inf'"),
         (read_cdf_samples, "t,fraction\n1,0.25\n-inf,0.3\n", "t='-inf'"),
+        (read_cdf_samples, "t,fraction\n1,0.25\n2,inf\n", "fraction='inf'"),
         (read_delay_histogram, "bin_start,bin_end,count\n0,10,5\n10,inf,3\n", "bin_end='inf'"),
         (read_delay_histogram, "bin_start,bin_end,count\n0,10,5\n10,20,nan\n", "count='nan'"),
-    ], ids=["t-nan", "t-inf", "t-neg-inf", "bin-end-inf", "count-nan"])
+    ], ids=["t-nan", "t-inf", "t-neg-inf", "fraction-inf", "bin-end-inf", "count-nan"])
     def test_non_finite_cell_names_line(self, tmp_path, read, text, cell):
         path = tmp_path / "input.csv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=f"line 3: {cell} is not finite"):
+        with pytest.raises(ValueError, match=f"line 3: {cell} is not finite$"):
             read(path)
 
     def test_missing_file_is_value_error(self):

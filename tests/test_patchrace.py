@@ -54,7 +54,9 @@ class TestTypes:
             assert flat.peak_value == 0.7
 
     def test_scenario_validation(self):
-        with pytest.raises(ValueError, match="pre_disclosure"):
+        with pytest.raises(
+            ValueError, match=r"^pre_disclosure_patch_fraction must be in \[0, 1\], got 1\.5$"
+        ):
             PatchRaceScenario(pre_disclosure_patch_fraction=1.5)
         with pytest.raises(ValueError, match="deploy_speedup"):
             PatchRaceScenario(deploy_speedup=0.5)
@@ -94,6 +96,8 @@ class TestDevelopment:
         assert patch_developed_all_vulns(DEV, 0.78, 0.0) == pytest.approx(0.78)
         assert patch_developed_all_vulns(DEV, 0.78, 1e9) == pytest.approx(1.0, abs=1e-9)
         assert patch_developed_all_vulns(DEV, 0.78, 18.2) == pytest.approx(0.919066522942, abs=1e-9)
+        with pytest.raises(ValueError, match=r"^pre_frac must be in \[0, 1\], got 1\.5$"):
+            patch_developed_all_vulns(DEV, 1.5, 18.2)
 
 
 class TestDeployment:
@@ -123,6 +127,10 @@ class TestPatchedFraction:
             patched_fraction(DEFAULT, 731.0)
         with pytest.raises(ValueError, match="outside"):
             patched_fraction(DEFAULT, -1.0)
+        with pytest.raises(
+            ValueError, match=r"^t=800\.0 lies outside the scenario grid \[0\.0, 730\.0\]$"
+        ):
+            patched_fraction(DEFAULT, 800.0)
 
     def test_dominated_by_each_component(self):
         for t in np.linspace(0.0, 730.0, 74):
@@ -271,7 +279,7 @@ class TestSweepAndSummary:
         assert changes == 1
 
     def test_summary_requires_full_year_grid(self):
-        with pytest.raises(ValueError, match="365"):
+        with pytest.raises(ValueError, match=r"^race summary needs a grid covering \[0, 365\] days$"):
             race_summary(PatchRaceScenario(grid=Grid(0.0, 200.0, 0.25)))
 
     def test_summary_peak_search_includes_day_365(self):

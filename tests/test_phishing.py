@@ -23,10 +23,10 @@ probabilities = st.floats(min_value=0.0, max_value=1.0)
 
 class TestParams:
     @pytest.mark.parametrize("field", ["p_click", "p_human_alert", "p_machine_alert"])
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 1.5])
     def test_out_of_range_rejected(self, field, bad):
         kwargs = {"p_click": 0.1, "p_human_alert": 0.1, "p_machine_alert": 0.1, field: bad}
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\], got {bad}$"):
             PhishingParams(**kwargs)
 
     def test_combined_alert_probability(self):
@@ -35,6 +35,10 @@ class TestParams:
     def test_campaign_point_product_invariant(self):
         with pytest.raises(ValueError, match="p_infection"):
             CampaignPoint(3, 0.5, 0.4, 0.3)
+
+    def test_campaign_point_probability_text(self):
+        with pytest.raises(ValueError, match=r"^p_infection must be in \[0, 1\], got 1\.5$"):
+            CampaignPoint(3, 1.5, 0.4, 0.6)
 
 
 class TestPointProbabilities:
