@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FitResult, least_squares_fit
+from .numerics import FitResult, check_probability, finite_float, least_squares_fit
 from .patchrace import (
     ExploitCurveParams,
     WeibullParams,
@@ -36,8 +36,7 @@ class CdfSample:
             raise ValueError(f"t must be finite, got {self.t}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
+        check_probability("fraction", self.fraction)
 
 
 @dataclass(frozen=True)
@@ -210,14 +209,10 @@ def _read_table(path, columns: tuple[str, ...]):
                 raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
             values = []
             for col in columns:
-                raw = row[position[col]].strip()
                 try:
-                    value = float(raw)
-                except ValueError:
-                    raise ValueError(f"{where}: {col}={raw!r} is not a number") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{where}: {col}={raw!r} is not finite")
-                values.append(value)
+                    values.append(finite_float(row[position[col]].strip()))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {col}={exc}") from None
             yield lineno, values
 
 

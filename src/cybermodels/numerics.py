@@ -1,5 +1,6 @@
-"""Shared numerical primitives: grid quadrature, integer argmax, and a
-derivative-free nonlinear least-squares fitter.
+"""Shared numerical primitives: grid quadrature, integer argmax, a
+derivative-free nonlinear least-squares fitter, and the input rules every
+model shares (a finite number parsed from a file, a probability in [0, 1]).
 
 The fitter is a bounded Nelder-Mead simplex restarted from jittered initial
 points. All fitted models in this package are smooth, cheap, and have at most
@@ -77,6 +78,24 @@ def raise_at_first(bad, message: str, **values) -> None:
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         at_first = {name: np.broadcast_to(v, bad.shape)[i] for name, v in values.items()}
         raise ValueError(message.format(**at_first))
+
+
+def finite_float(raw: str) -> float:
+    """The finite float written as ``raw``: every number read from a file
+    (scenario values, CSV cells) goes through here."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+def check_probability(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` lies in [0, 1] (NaN never does)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def integrate_trapezoid(f: Callable[[float], float], grid: Grid) -> float:

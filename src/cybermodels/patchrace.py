@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid, raise_at_first
+from .numerics import Grid, check_probability, raise_at_first
 from .series import CurveSeries
 
 
@@ -118,13 +118,11 @@ class PatchRaceScenario:
     grid: Grid = DEFAULT_GRID
 
     def __post_init__(self):
-        if not 0.0 <= self.pre_disclosure_patch_fraction <= 1.0:
-            raise ValueError(
-                "pre_disclosure_patch_fraction must be in [0, 1], "
-                f"got {self.pre_disclosure_patch_fraction}"
-            )
+        check_probability("pre_disclosure_patch_fraction", self.pre_disclosure_patch_fraction)
         if not self.deploy_speedup >= 1.0:
             raise ValueError(f"deploy_speedup must be >= 1, got {self.deploy_speedup}")
+        if self.grid.start != 0:
+            raise ValueError(f"a race grid must start at day 0, got start {self.grid.start}")
 
     @property
     def effective_deploy_rate(self) -> float:
@@ -163,8 +161,7 @@ def patch_developed_cdf(p: WeibullParams, t):
 def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t):
     """Patch-available fraction over all vulnerabilities: the pre-disclosure
     share plus the Weibull share of the rest."""
-    if not 0.0 <= pre_frac <= 1.0:
-        raise ValueError(f"pre_frac must be in [0, 1], got {pre_frac}")
+    check_probability("pre_frac", pre_frac)
     return pre_frac + (1.0 - pre_frac) * patch_developed_cdf(p, t)
 
 
@@ -200,9 +197,9 @@ def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
     k = np.searchsorted(nodes, ts, side="right") - 1
     nodes = nodes[: k.max(initial=0) + 2]  # later nodes cannot reach any of ts
     cdf = patch_developed_cdf(s.dev, nodes)
-    before, mass = cdf - cdf[0], np.append(np.diff(cdf), 0.0)
+    mass = np.append(np.diff(cdf), 0.0)
     rh = rate * h
-    terms = np.stack([-math.expm1(-rh) * before - math.expm1(-rh / 2) * mass,
+    terms = np.stack([-math.expm1(-rh) * cdf - math.expm1(-rh / 2) * mass,
                       math.exp(-rh / 2) * mass])[:, :-1]
     sums, n = np.zeros((2, nodes.size)), nodes.size - 1
     block = max(1, int(min(n, 600.0 / rh)))
@@ -211,18 +208,18 @@ def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
         grown = np.cumsum(terms[:, i : i + e.size] * np.exp(e), axis=1)
         sums[:, i + 1 : i + e.size + 1] = np.exp(-e) * (math.exp(-rh) * sums[:, i, None] + grown)
     recursed, undeployed = sums
-    patched = np.where(recursed <= undeployed, recursed, before - undeployed)
+    patched = np.where(recursed <= undeployed, recursed, cdf - undeployed)
     d = ts - nodes[k]
     late = -np.expm1(-rate * np.maximum(d - h / 2, 0.0))
-    return np.exp(-rate * d) * patched[k] - np.expm1(-rate * d) * before[k] + late * mass[k]
+    return np.exp(-rate * d) * patched[k] - np.expm1(-rate * d) * cdf[k] + late * mass[k]
 
 
 def patched_fraction(s: PatchRaceScenario, t):
     """Fraction of systems patched by day t (development + deployment delay);
     t is a float or an array of days inside the scenario grid."""
-    lo, hi, ts = s.grid.start, s.grid.last_node, np.asarray(t)
-    message = "t={t} lies outside the scenario grid [{lo}, {hi}]"
-    raise_at_first(~((lo <= ts) & (ts <= hi)), message, t=t, lo=lo, hi=hi)
+    hi, ts = s.grid.last_node, np.asarray(t)
+    message = "t={t} lies outside the scenario grid [0.0, {hi}]"
+    raise_at_first(~((0.0 <= ts) & (ts <= hi)), message, t=t, hi=hi)
     return _patched(s, np.ravel(t)).reshape(np.shape(t))[()]
 
 
@@ -268,7 +265,7 @@ def race_sweep(s: PatchRaceScenario) -> CurveSeries:
 def race_summary(s: PatchRaceScenario) -> RaceSummary:
     """Peak exploitable fraction (at grid resolution, day 365 included) and
     the 365-day value."""
-    if s.grid.start > 0 or s.grid.last_node < 365:
+    if s.grid.last_node < 365:
         raise ValueError("race summary needs a grid covering [0, 365] days")
     if s.grid.step > 1.0:
         warnings.warn(

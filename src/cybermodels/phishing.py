@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import raise_at_first
+from .numerics import check_probability, raise_at_first
 from .series import CurveSeries
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,7 +25,7 @@ class PhishingParams:
 
     def __post_init__(self):
         for name in ("p_click", "p_human_alert", "p_machine_alert"):
-            _check_probability(name, getattr(self, name))
+            check_probability(name, getattr(self, name))
 
     @property
     def p_alert(self) -> float:
@@ -53,9 +48,8 @@ class CampaignPoint:
     def __post_init__(self):
         if self.n_messages < 0:
             raise ValueError("n_messages must be >= 0")
-        _check_probability("p_infection", self.p_infection)
-        _check_probability("p_no_alert", self.p_no_alert)
-        _check_probability("p_undetected", self.p_undetected)
+        for name in ("p_infection", "p_no_alert", "p_undetected"):
+            check_probability(name, getattr(self, name))
         if abs(self.p_undetected - self.p_infection * self.p_no_alert) > 1e-12:
             raise ValueError("p_undetected must equal p_infection * p_no_alert")
 

@@ -1,21 +1,22 @@
 """Flat key=value scenario files.
 
 Format: ``[section]`` headers with one ``key = value`` pair per line; ``#``
-begins a comment line; blank lines are ignored. No nesting, so files stay
-diff-friendly and trivially parseable. Units are embedded in key names
-(``lambda_days``, ``beta_per_day``) to keep day/week confusion out of the
-files. Every key has a documented baseline default, so an empty file is the
-full baseline scenario.
+begins a comment, which goes on its own line; blank lines are ignored; numbers
+must be finite. No nesting, so files stay diff-friendly and trivially
+parseable. Units are embedded in key names (``lambda_days``, ``beta_per_day``)
+to keep day/week confusion out of the files. Every key has a documented
+baseline default, so an empty file is the full baseline scenario.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .montecarlo import SimConfig
-from .numerics import Grid
+from .numerics import Grid, finite_float
 from .patchrace import (
     DeploymentParams,
     ExploitCurveParams,
@@ -60,30 +61,30 @@ _RACE = PatchRaceScenario()
 # race defaults are read from the PatchRaceScenario field defaults.
 _KEYS: dict[str, dict[str, tuple]] = {
     "phishing": {
-        "p_click": (float, _prob, "must be in [0, 1]", 0.03),
-        "p_human_alert": (float, _prob, "must be in [0, 1]", 0.015),
-        "p_machine_alert": (float, _prob, "must be in [0, 1]", 0.01),
+        "p_click": (finite_float, _prob, "must be in [0, 1]", 0.03),
+        "p_human_alert": (finite_float, _prob, "must be in [0, 1]", 0.015),
+        "p_machine_alert": (finite_float, _prob, "must be in [0, 1]", 0.01),
     },
     "vulndisc": {
-        "c": (float, lambda v: v > 0, "must be > 0", 6.0),
-        "alpha": (float, lambda v: v >= 0, "must be >= 0", 0.4),
+        "c": (finite_float, lambda v: v > 0, "must be > 0", 6.0),
+        "alpha": (finite_float, lambda v: v >= 0, "must be >= 0", 0.4),
         "label": (str, None, "", "human bug bounty"),
     },
     "patchrace": {
-        "k": (float, lambda v: v > 0, "must be > 0", _RACE.dev.shape),
-        "lambda_days": (float, lambda v: v > 0, "must be > 0", _RACE.dev.scale_days),
-        "beta_per_day": (float, lambda v: v > 0, "must be > 0", _RACE.dep.rate_per_day),
-        "A": (float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.amplitude),
-        "a": (float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.growth_exponent),
-        "b": (float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.decay_per_day),
+        "k": (finite_float, lambda v: v > 0, "must be > 0", _RACE.dev.shape),
+        "lambda_days": (finite_float, lambda v: v > 0, "must be > 0", _RACE.dev.scale_days),
+        "beta_per_day": (finite_float, lambda v: v > 0, "must be > 0", _RACE.dep.rate_per_day),
+        "A": (finite_float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.amplitude),
+        "a": (finite_float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.growth_exponent),
+        "b": (finite_float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.decay_per_day),
         "pre_disclosure_fraction": (
-            float, _prob, "must be in [0, 1]", _RACE.pre_disclosure_patch_fraction
+            finite_float, _prob, "must be in [0, 1]", _RACE.pre_disclosure_patch_fraction
         ),
         "instant_dev": (_parse_bool, None, "", _RACE.instant_dev),
         "instant_exploit": (_parse_bool, None, "", _RACE.instant_exploit),
-        "deploy_speedup": (float, lambda v: v >= 1, "must be >= 1", _RACE.deploy_speedup),
-        "grid_stop_days": (float, lambda v: v > 0, "must be > 0", _RACE.grid.stop),
-        "grid_step_days": (float, lambda v: v > 0, "must be > 0", _RACE.grid.step),
+        "deploy_speedup": (finite_float, lambda v: v >= 1, "must be >= 1", _RACE.deploy_speedup),
+        "grid_stop_days": (finite_float, lambda v: v > 0, "must be > 0", _RACE.grid.stop),
+        "grid_step_days": (finite_float, lambda v: v > 0, "must be > 0", _RACE.grid.step),
         "clamp_monotone": (_parse_bool, None, "", _RACE.exploit.clamp_monotone),
     },
     "montecarlo": {
@@ -139,6 +140,10 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict
                 f"(lines {seen[(section, key)]} and {lineno})"
             )
         seen[(section, key)] = lineno
+        if re.search(r"\s#", raw_value):
+            raise ScenarioError(
+                f"{source}: line {lineno}: key '{key}': a comment must go on its own line"
+            )
 
         parser, validator, constraint, _ = _KEYS[section][key]
         try:

@@ -67,10 +67,6 @@ class CurveSeries:
     def __len__(self) -> int:
         return next(iter(self.columns.values())).shape[0]
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.columns[self.x_label]
-
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
 

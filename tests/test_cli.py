@@ -323,6 +323,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("runtime error:")
 
+    @pytest.mark.parametrize("command,section,key,raw", [
+        ("vulndisc", "vulndisc", "c", "inf"),
+        ("patchrace", "patchrace", "grid_stop_days", "inf"),
+        ("patchrace --summary", "patchrace", "beta_per_day", "inf"),
+        ("phishing", "phishing", "p_click", "nan"),
+    ], ids=["c-inf", "grid-stop-inf", "beta-inf", "p-click-nan"])
+    def test_non_finite_scenario_number_exits_1(self, command, section, key, raw,
+                                                 tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        code, out, err = run_cli([*command.split(), "--scenario", str(scn)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {scn}: line 2: key '{key}': '{raw}' is not finite\n"
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run_cli(["explode"], capsys)
         assert code == 1

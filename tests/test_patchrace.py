@@ -61,6 +61,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="deploy_speedup"):
             PatchRaceScenario(deploy_speedup=0.5)
 
+    def test_race_grid_must_start_at_day_0(self):
+        # a later start would drop the development mass before it
+        with pytest.raises(ValueError, match=r"start at day 0, got start 10\.0$"):
+            PatchRaceScenario(grid=Grid(10.0, 730.0, 0.25))
+
     def test_race_summary_orders_fractions(self):
         with pytest.raises(ValueError):
             RaceSummary(peak_time=55.0, peak_fraction=0.1, fraction_at_1yr=0.2)
@@ -279,7 +284,9 @@ class TestSweepAndSummary:
         assert changes == 1
 
     def test_summary_requires_full_year_grid(self):
-        with pytest.raises(ValueError, match=r"^race summary needs a grid covering \[0, 365\] days$"):
+        with pytest.raises(
+            ValueError, match=r"^race summary needs a grid covering \[0, 365\] days$"
+        ):
             race_summary(PatchRaceScenario(grid=Grid(0.0, 200.0, 0.25)))
 
     def test_summary_peak_search_includes_day_365(self):

@@ -85,8 +85,22 @@ class TestValidation:
             parse("p_click = 0.5\n")
 
     def test_non_numeric_value_names_line(self):
-        with pytest.raises(ScenarioError, match="line 2"):
+        with pytest.raises(ScenarioError, match="line 2: key 'p_click': 'lots' is not a number$"):
             parse("[phishing]\np_click = lots\n")
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("vulndisc", "label", "fuzzer  # tester name"),
+        ("phishing", "p_click", "0.3  # in [0, 1]"),
+    ], ids=["string-key", "numeric-key"])
+    def test_inline_comment_rejected(self, section, key, value):
+        with pytest.raises(
+            ScenarioError,
+            match=f"^test.scn: line 2: key '{key}': a comment must go on its own line$",
+        ):
+            parse(f"[{section}]\n{key} = {value}\n")
+
+    def test_hash_inside_a_value_is_kept(self):
+        assert parse("[vulndisc]\nlabel = team#1\n").tester.label == "team#1"
 
     def test_bad_boolean(self):
         with pytest.raises(ScenarioError, match="boolean"):

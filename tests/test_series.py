@@ -72,7 +72,7 @@ class TestCurveSeries:
     def test_len_and_accessors(self):
         series = CurveSeries({"x": [0.0, 1.0], "y": [3.0, 4.0]}, x_label="x")
         assert len(series) == 2
-        assert np.array_equal(series.x, [0.0, 1.0])
+        assert np.array_equal(series.column("x"), [0.0, 1.0])
         assert np.array_equal(series.column("y"), [3.0, 4.0])
 
 
