@@ -36,7 +36,7 @@ def weibull_cdf_samples(shape, scale, ts):
 
 class TestTypes:
     def test_cdf_sample_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must be >= 0, got -1\.0$"):
             CdfSample(-1.0, 0.5)
         with pytest.raises(ValueError, match=r"^fraction must be in \[0, 1\], got 1\.5$"):
             CdfSample(1.0, 1.5)
@@ -109,6 +109,10 @@ class TestEstimatePowerLawC:
     def test_zero_count(self):
         assert estimate_power_law_c(0.0, 1.0, 5.0, 2.0) == 0.0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^s_count must be >= 0, got -1\.0$"):
+            estimate_power_law_c(-1.0, 1.0, 5.0, 2.0)
+
     def test_divergent_configuration(self):
         with pytest.raises(ValueError, match="diverge"):
             estimate_power_law_c(10.0, 0.0, 1.0, 1.5)
@@ -137,6 +141,10 @@ class TestEstimateBeta:
 
     def test_characteristic_time(self):
         assert estimate_beta(37.0, -math.expm1(-1.0)) == pytest.approx(1.0 / 37.0, rel=1e-12)
+
+    def test_reference_time_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^t_ref must be > 0, got 0\.0$"):
+            estimate_beta(0.0, 0.5)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.3])
     def test_fraction_domain(self, fraction):

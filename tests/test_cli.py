@@ -243,6 +243,14 @@ class TestSimulateCommand:
         assert code == 0
         assert pooled == solo
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--trials", "trials must be >= 1, got 0"),
+        ("--workers", "workers must be >= 1, got 0"),
+    ], ids=["trials", "workers"])
+    def test_override_out_of_range_exits_1(self, flag, message, capsys):
+        code, out, err = run_cli(["simulate", "--kind", "phishing", flag, "0"], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_discovery_simulation(self, capsys):
         code, out, _ = run_cli(
             [

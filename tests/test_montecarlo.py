@@ -29,13 +29,13 @@ ORACLE_GOLDEN = ROOT / "tests" / "golden" / "oracle_suite_2000.csv"
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
             SimConfig(trials=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=-1)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=2**64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
             SimConfig(trials=10, seed=1, workers=0)
 
     def test_estimate_validation(self):
@@ -92,6 +92,11 @@ class TestDiscoverySimulation:
             simulate_discovery(tester, 0.0, 2.0, SimConfig(trials=10, seed=1))
         with pytest.raises(ValueError, match="exceed"):
             simulate_discovery(tester, 2.0, 2.0, SimConfig(trials=10, seed=1))
+
+    def test_interval_start_must_be_positive(self):
+        cfg = SimConfig(trials=10, seed=1)
+        with pytest.raises(ValueError, match=r"^interval start must be > 0, got 0\.0$"):
+            discovery_interval_counts(PowerLawTester(6.0, 0.4), (0, 1, 2), cfg)
 
     def test_doubling_rate_doubles_mean(self):
         cfg = SimConfig(trials=20_000, seed=12)

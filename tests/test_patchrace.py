@@ -30,12 +30,18 @@ DEFAULT = PatchRaceScenario()
 class TestTypes:
     @pytest.mark.parametrize("shape,scale", [(0, 1), (-1, 1), (1, 0), (1, -2)])
     def test_invalid_weibull(self, shape, scale):
-        with pytest.raises(ValueError):
+        name, value = ("shape", shape) if shape <= 0 else ("scale_days", scale)
+        with pytest.raises(ValueError, match=f"^{name} must be > 0, got {value}$"):
             WeibullParams(shape, scale)
 
     def test_invalid_deployment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rate_per_day must be > 0, got 0\.0$"):
             DeploymentParams(0.0)
+
+    @pytest.mark.parametrize("field", ["amplitude", "growth_exponent", "decay_per_day"])
+    def test_exploit_curve_field_must_be_non_negative(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got -1\.0$"):
+            ExploitCurveParams(**{field: -1.0})
 
     def test_exploit_peak_must_stay_probability(self):
         with pytest.raises(ValueError, match="peak"):
@@ -58,7 +64,7 @@ class TestTypes:
             ValueError, match=r"^pre_disclosure_patch_fraction must be in \[0, 1\], got 1\.5$"
         ):
             PatchRaceScenario(pre_disclosure_patch_fraction=1.5)
-        with pytest.raises(ValueError, match="deploy_speedup"):
+        with pytest.raises(ValueError, match=r"^deploy_speedup must be >= 1, got 0\.5$"):
             PatchRaceScenario(deploy_speedup=0.5)
 
     def test_race_grid_must_start_at_day_0(self):

@@ -92,7 +92,7 @@ class TestOptimalCampaign:
         assert point.p_undetected == 0.0
 
     def test_invalid_n_max(self):
-        with pytest.raises(ValueError, match="n_max"):
+        with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
             optimal_campaign(BASELINE, 0)
 
     @settings(max_examples=50, deadline=None)

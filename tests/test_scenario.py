@@ -62,7 +62,37 @@ class TestDefaults:
             assert sorted(named) == sorted(keys), section
 
 
+# one key per ruled scenario row, each with a value that breaks its rule
+RANGE_CASES = [
+    ("phishing", "p_click", "1.5", "must be in [0, 1]"),
+    ("phishing", "p_human_alert", "1.5", "must be in [0, 1]"),
+    ("phishing", "p_machine_alert", "1.5", "must be in [0, 1]"),
+    ("vulndisc", "c", "0", "must be > 0"),
+    ("vulndisc", "alpha", "-1", "must be >= 0"),
+    ("patchrace", "k", "0", "must be > 0"),
+    ("patchrace", "lambda_days", "0", "must be > 0"),
+    ("patchrace", "beta_per_day", "0", "must be > 0"),
+    ("patchrace", "A", "-1", "must be >= 0"),
+    ("patchrace", "a", "-1", "must be >= 0"),
+    ("patchrace", "b", "-1", "must be >= 0"),
+    ("patchrace", "pre_disclosure_fraction", "1.5", "must be in [0, 1]"),
+    ("patchrace", "deploy_speedup", "0.5", "must be >= 1"),
+    ("patchrace", "grid_stop_days", "0", "must be > 0"),
+    ("patchrace", "grid_step_days", "0", "must be > 0"),
+    ("montecarlo", "trials", "0", "must be >= 1"),
+    ("montecarlo", "seed", "-1", "must be a 64-bit unsigned integer"),
+    ("montecarlo", "workers", "0", "must be >= 1"),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("section,key,raw,rule", RANGE_CASES,
+                             ids=[case[1] for case in RANGE_CASES])
+    def test_range_error_names_key_rule_and_raw_value(self, section, key, raw, rule):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse(f"[{section}]\n{key} = {raw}\n")
+        assert str(excinfo.value) == f"test.scn: line 2: key '{key}' {rule} (got {raw})"
+
     def test_negative_alpha_names_key_and_bound(self):
         with pytest.raises(ScenarioError, match="'alpha' must be >= 0"):
             parse("[vulndisc]\nalpha = -1\n")

@@ -34,7 +34,11 @@ CREATIVE_AI = PowerLawTester(6.0, 0.04, label="10x more creative AI")
 class TestTypes:
     @pytest.mark.parametrize("c,alpha", [(0.0, 0.4), (-1.0, 0.4), (6.0, -0.1)])
     def test_invalid_tester(self, c, alpha):
-        with pytest.raises(ValueError):
+        if c <= 0:
+            message = f"initial_rate must be > 0, got {c}"
+        else:
+            message = f"difficulty_exponent must be >= 0, got {alpha}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             PowerLawTester(c, alpha)
 
     def test_invalid_basis(self):
@@ -42,7 +46,7 @@ class TestTypes:
             PowerLawTester(6.0, 0.4, basis="days")
 
     def test_invalid_attempt_rate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^attempts_per_week must be > 0, got 0\.0$"):
             AttemptRate(0.0)
 
 
@@ -173,6 +177,10 @@ class TestConversions:
         with pytest.raises(ValueError, match="direction"):
             convert_attempts_time(AttemptRate(10.0), 1.0, "sideways")
 
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError, match=r"^value must be >= 0, got -1\.0$"):
+            convert_attempts_time(AttemptRate(10.0), -1.0, TIME_TO_ATTEMPTS)
+
 
 class TestTotalLimit:
     def test_fuzzer_saturates(self):
@@ -183,6 +191,10 @@ class TestTotalLimit:
 
     def test_log_divergence_unbounded(self):
         assert total_discoveries_limit(PowerLawTester(3.0, 1.0), 1.0) is UNBOUNDED
+
+    def test_start_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^t1 must be > 0, got 0\.0$"):
+            total_discoveries_limit(FUZZER, 0.0)
 
 
 class TestCrossover:
@@ -236,7 +248,7 @@ class TestWeeklySeries:
         assert creative > human
 
     def test_weeks_validation(self):
-        with pytest.raises(ValueError, match="weeks"):
+        with pytest.raises(ValueError, match="^weeks must be >= 1, got 0$"):
             weekly_series(HUMAN, 0)
 
 
