@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FitResult, check_probability, finite_float, least_squares_fit
+from .numerics import FitResult, check, finite_float, least_squares_fit
 from .patchrace import (
     ExploitCurveParams,
     WeibullParams,
@@ -34,9 +34,8 @@ class CdfSample:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise ValueError(f"t must be finite, got {self.t}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-        check_probability("fraction", self.fraction)
+        check("t", self.t, "must be >= 0")
+        check("fraction", self.fraction, "must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -106,16 +105,14 @@ def fit_weibull_cdf(samples: list[CdfSample]) -> FitResult:
 def estimate_power_law_c(s_count: float, t1: float, t2: float, alpha: float) -> float:
     """Initial rate c such that the expected discoveries over [t1, t2] at the
     given difficulty exponent equal s_count."""
-    if s_count < 0:
-        raise ValueError(f"s_count must be >= 0, got {s_count}")
+    check("s_count", s_count, "must be >= 0")
     unit = expected_discoveries(PowerLawTester(1.0, alpha), t1, t2)
     return s_count / unit
 
 
 def estimate_beta(t_ref: float, fraction: float) -> float:
     """Exponential deployment rate from one (time, adopted-fraction) point."""
-    if t_ref <= 0:
-        raise ValueError(f"t_ref must be > 0, got {t_ref}")
+    check("t_ref", t_ref, "must be > 0")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be strictly inside (0, 1), got {fraction}")
     return -math.log1p(-fraction) / t_ref

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import calibration, montecarlo, patchrace, phishing, vulndisc
 from .montecarlo import RNG_ALGORITHM
+from .numerics import finite_float
 from .scenario import resolve_scenario
 from .series import CurveSeries, rows_to_csv, write_text
 
@@ -33,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
     # validation failures here, which must exit 1
     def error(self, message):
         raise ValueError(message)
+
+
+def _finite(raw: str) -> float:
+    # argparse shows an ArgumentTypeError's own text after the flag name
+    try:
+        return finite_float(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -72,9 +81,9 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--kind", required=True, choices=("phishing", "discovery", "race"))
     p.add_argument("--n", type=int, default=26, help="campaign size (phishing)")
-    p.add_argument("--t1", type=float, default=1.0, help="interval start in weeks (discovery)")
-    p.add_argument("--t2", type=float, default=53.0, help="interval end in weeks (discovery)")
-    p.add_argument("--probe", type=float, action="append", metavar="DAYS",
+    p.add_argument("--t1", type=_finite, default=1.0, help="interval start in weeks (discovery)")
+    p.add_argument("--t2", type=_finite, default=53.0, help="interval end in weeks (discovery)")
+    p.add_argument("--probe", type=_finite, action="append", metavar="DAYS",
                    help="race probe time in days (repeatable; default 55 and 365)")
     p.add_argument("--trials", type=int, help="override scenario trial count")
     p.add_argument("--seed", type=int, help="override scenario seed")

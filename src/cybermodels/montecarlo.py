@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import patchrace, phishing, vulndisc
+from .numerics import RULES, check
 from .patchrace import ExploitCurveParams, PatchRaceScenario
 from .phishing import PhishingParams
 from .vulndisc import PowerLawTester
@@ -38,12 +39,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check("trials", self.trials, "must be >= 1")
+        check("seed", self.seed, "must be a 64-bit unsigned integer")
+        check("workers", self.workers, "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,7 @@ def discovery_interval_counts(
     edges = np.array([float(e) for e in edges])
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
-    if edges[0] <= 0:
-        raise ValueError(f"interval start must be > 0, got {edges[0]}")
+    check("interval start", edges[0], "must be > 0")
 
     c, alpha = tester.initial_rate, tester.difficulty_exponent
 
@@ -155,7 +152,7 @@ def simulate_discovery(
     tester: PowerLawTester, t1: float, t2: float, cfg: SimConfig
 ) -> SimEstimate:
     """Mean and standard error of simulated discovery counts over [t1, t2]."""
-    if t1 <= 0:
+    if not RULES["must be > 0"](t1):
         raise ValueError(
             f"t1 must be > 0, got {t1}: the thinning majorant (and, for "
             "difficulty exponents >= 1, the expected count itself) diverges at 0"
@@ -203,7 +200,7 @@ def simulate_race(
     results analytically at probe times up to the curve's peak time instead.
     """
     probes = [float(t) for t in probe_times]
-    if any(t < 0 for t in probes):
+    if not all(map(RULES["must be >= 0"], probes)):
         raise ValueError("probe times must be >= 0")
     if not s.exploit.clamp_monotone:
         raise ValueError(

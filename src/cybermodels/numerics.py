@@ -1,6 +1,7 @@
 """Shared numerical primitives: grid quadrature, integer argmax, a
 derivative-free nonlinear least-squares fitter, and the input rules every
-model shares (a finite number parsed from a file, a probability in [0, 1]).
+model shares (a finite number parsed from a file, the range rules of
+``RULES``).
 
 The fitter is a bounded Nelder-Mead simplex restarted from jittered initial
 points. All fitted models in this package are smooth, cheap, and have at most
@@ -92,10 +93,20 @@ def finite_float(raw: str) -> float:
     return value
 
 
-def check_probability(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` lies in [0, 1] (NaN never does)."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+# rule text -> predicate; each is a comparison, so NaN fails every rule
+RULES: dict[str, Callable[[float], bool]] = {
+    "must be > 0": lambda v: v > 0,
+    "must be >= 0": lambda v: v >= 0,
+    "must be >= 1": lambda v: v >= 1,
+    "must be in [0, 1]": lambda v: 0 <= v <= 1,
+    "must be a 64-bit unsigned integer": lambda v: 0 <= v < 2**64 and v == int(v),
+}
+
+
+def check(name: str, value, rule: str) -> None:
+    """Raise ValueError unless ``value`` keeps ``rule``, a key of RULES."""
+    if not RULES[rule](value):
+        raise ValueError(f"{name} {rule}, got {value}")
 
 
 def integrate_trapezoid(f: Callable[[float], float], grid: Grid) -> float:

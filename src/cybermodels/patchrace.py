@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid, check_probability, raise_at_first
+from .numerics import Grid, check, raise_at_first
 from .series import CurveSeries
 
 
@@ -36,10 +36,8 @@ class WeibullParams:
     scale_days: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be > 0, got {self.shape}")
-        if not self.scale_days > 0:
-            raise ValueError(f"scale_days must be > 0, got {self.scale_days}")
+        check("shape", self.shape, "must be > 0")
+        check("scale_days", self.scale_days, "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,7 @@ class DeploymentParams:
     rate_per_day: float
 
     def __post_init__(self):
-        if not self.rate_per_day > 0:
-            raise ValueError(f"rate_per_day must be > 0, got {self.rate_per_day}")
+        check("rate_per_day", self.rate_per_day, "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -64,8 +61,7 @@ class ExploitCurveParams:
 
     def __post_init__(self):
         for name in ("amplitude", "growth_exponent", "decay_per_day"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            check(name, getattr(self, name), "must be >= 0")
         peak = self.peak_value
         if not (math.isfinite(peak) and 0.0 <= peak <= 1.0):
             raise ValueError(
@@ -118,9 +114,9 @@ class PatchRaceScenario:
     grid: Grid = DEFAULT_GRID
 
     def __post_init__(self):
-        check_probability("pre_disclosure_patch_fraction", self.pre_disclosure_patch_fraction)
-        if not self.deploy_speedup >= 1.0:
-            raise ValueError(f"deploy_speedup must be >= 1, got {self.deploy_speedup}")
+        check("pre_disclosure_patch_fraction", self.pre_disclosure_patch_fraction,
+              "must be in [0, 1]")
+        check("deploy_speedup", self.deploy_speedup, "must be >= 1")
         if self.grid.start != 0:
             raise ValueError(f"a race grid must start at day 0, got start {self.grid.start}")
 
@@ -161,7 +157,7 @@ def patch_developed_cdf(p: WeibullParams, t):
 def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t):
     """Patch-available fraction over all vulnerabilities: the pre-disclosure
     share plus the Weibull share of the rest."""
-    check_probability("pre_frac", pre_frac)
+    check("pre_frac", pre_frac, "must be in [0, 1]")
     return pre_frac + (1.0 - pre_frac) * patch_developed_cdf(p, t)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_probability, raise_at_first
+from .numerics import check, raise_at_first
 from .series import CurveSeries
 
 
@@ -25,7 +25,7 @@ class PhishingParams:
 
     def __post_init__(self):
         for name in ("p_click", "p_human_alert", "p_machine_alert"):
-            check_probability(name, getattr(self, name))
+            check(name, getattr(self, name), "must be in [0, 1]")
 
     @property
     def p_alert(self) -> float:
@@ -49,7 +49,7 @@ class CampaignPoint:
         if self.n_messages < 0:
             raise ValueError("n_messages must be >= 0")
         for name in ("p_infection", "p_no_alert", "p_undetected"):
-            check_probability(name, getattr(self, name))
+            check(name, getattr(self, name), "must be in [0, 1]")
         if abs(self.p_undetected - self.p_infection * self.p_no_alert) > 1e-12:
             raise ValueError("p_undetected must equal p_infection * p_no_alert")
 
@@ -91,8 +91,7 @@ def optimal_campaign(params: PhishingParams, n_max: int) -> CampaignPoint:
 
 def campaign_sweep(params: PhishingParams, n_max: int) -> CurveSeries:
     """Per-size campaign curve for n = 0..n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check("n_max", n_max, "must be >= 1")
     ns = np.arange(n_max + 1)
     inf, noal = p_infection(params, ns), p_no_alert(params, ns)
     return CurveSeries(

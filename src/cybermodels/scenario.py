@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .montecarlo import SimConfig
-from .numerics import Grid, finite_float
+from .numerics import RULES, Grid, finite_float
 from .patchrace import (
     DeploymentParams,
     ExploitCurveParams,
@@ -50,53 +50,57 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"{raw!r} is not a boolean (use true/false)")
 
 
-def _prob(v):
-    return 0.0 <= v <= 1.0
+def _parse_int(raw: str) -> int:
+    # int(), not float(): a 64-bit seed would lose digits in a float
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{raw!r} is not an integer") from None
 
 
 _RACE = PatchRaceScenario()
 
-# key -> (parser, validator or None, human-readable constraint, baseline
-# default); the defaults are the values behind every bundled curve, and the
-# race defaults are read from the PatchRaceScenario field defaults.
+# key -> (parser, rule (a numerics.RULES key) or None, baseline default); the
+# defaults are the values behind every bundled curve, and the race defaults
+# are read from the PatchRaceScenario field defaults.
 _KEYS: dict[str, dict[str, tuple]] = {
     "phishing": {
-        "p_click": (finite_float, _prob, "must be in [0, 1]", 0.03),
-        "p_human_alert": (finite_float, _prob, "must be in [0, 1]", 0.015),
-        "p_machine_alert": (finite_float, _prob, "must be in [0, 1]", 0.01),
+        "p_click": (finite_float, "must be in [0, 1]", 0.03),
+        "p_human_alert": (finite_float, "must be in [0, 1]", 0.015),
+        "p_machine_alert": (finite_float, "must be in [0, 1]", 0.01),
     },
     "vulndisc": {
-        "c": (finite_float, lambda v: v > 0, "must be > 0", 6.0),
-        "alpha": (finite_float, lambda v: v >= 0, "must be >= 0", 0.4),
-        "label": (str, None, "", "human bug bounty"),
+        "c": (finite_float, "must be > 0", 6.0),
+        "alpha": (finite_float, "must be >= 0", 0.4),
+        "label": (str, None, "human bug bounty"),
     },
     "patchrace": {
-        "k": (finite_float, lambda v: v > 0, "must be > 0", _RACE.dev.shape),
-        "lambda_days": (finite_float, lambda v: v > 0, "must be > 0", _RACE.dev.scale_days),
-        "beta_per_day": (finite_float, lambda v: v > 0, "must be > 0", _RACE.dep.rate_per_day),
-        "A": (finite_float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.amplitude),
-        "a": (finite_float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.growth_exponent),
-        "b": (finite_float, lambda v: v >= 0, "must be >= 0", _RACE.exploit.decay_per_day),
+        "k": (finite_float, "must be > 0", _RACE.dev.shape),
+        "lambda_days": (finite_float, "must be > 0", _RACE.dev.scale_days),
+        "beta_per_day": (finite_float, "must be > 0", _RACE.dep.rate_per_day),
+        "A": (finite_float, "must be >= 0", _RACE.exploit.amplitude),
+        "a": (finite_float, "must be >= 0", _RACE.exploit.growth_exponent),
+        "b": (finite_float, "must be >= 0", _RACE.exploit.decay_per_day),
         "pre_disclosure_fraction": (
-            finite_float, _prob, "must be in [0, 1]", _RACE.pre_disclosure_patch_fraction
+            finite_float, "must be in [0, 1]", _RACE.pre_disclosure_patch_fraction
         ),
-        "instant_dev": (_parse_bool, None, "", _RACE.instant_dev),
-        "instant_exploit": (_parse_bool, None, "", _RACE.instant_exploit),
-        "deploy_speedup": (finite_float, lambda v: v >= 1, "must be >= 1", _RACE.deploy_speedup),
-        "grid_stop_days": (finite_float, lambda v: v > 0, "must be > 0", _RACE.grid.stop),
-        "grid_step_days": (finite_float, lambda v: v > 0, "must be > 0", _RACE.grid.step),
-        "clamp_monotone": (_parse_bool, None, "", _RACE.exploit.clamp_monotone),
+        "instant_dev": (_parse_bool, None, _RACE.instant_dev),
+        "instant_exploit": (_parse_bool, None, _RACE.instant_exploit),
+        "deploy_speedup": (finite_float, "must be >= 1", _RACE.deploy_speedup),
+        "grid_stop_days": (finite_float, "must be > 0", _RACE.grid.stop),
+        "grid_step_days": (finite_float, "must be > 0", _RACE.grid.step),
+        "clamp_monotone": (_parse_bool, None, _RACE.exploit.clamp_monotone),
     },
     "montecarlo": {
-        "trials": (int, lambda v: v >= 1, "must be >= 1", 100_000),
-        "seed": (int, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer", 20_260_810),
-        "workers": (int, lambda v: v >= 1, "must be >= 1", 1),
+        "trials": (_parse_int, "must be >= 1", 100_000),
+        "seed": (_parse_int, "must be a 64-bit unsigned integer", 20_260_810),
+        "workers": (_parse_int, "must be >= 1", 1),
     },
 }
 
 
 def _defaults() -> dict[str, dict[str, object]]:
-    return {sec: {key: spec[3] for key, spec in keys.items()} for sec, keys in _KEYS.items()}
+    return {sec: {key: spec[2] for key, spec in keys.items()} for sec, keys in _KEYS.items()}
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict[str, object]]:
@@ -145,15 +149,13 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict
                 f"{source}: line {lineno}: key '{key}': a comment must go on its own line"
             )
 
-        parser, validator, constraint, _ = _KEYS[section][key]
+        parser, rule, _ = _KEYS[section][key]
         try:
             value = parser(raw_value)
         except ValueError as exc:
             raise ScenarioError(f"{source}: line {lineno}: key '{key}': {exc}") from None
-        if validator is not None and not validator(value):
-            raise ScenarioError(
-                f"{source}: line {lineno}: key '{key}' {constraint} (got {raw_value})"
-            )
+        if rule is not None and not RULES[rule](value):
+            raise ScenarioError(f"{source}: line {lineno}: key '{key}' {rule} (got {raw_value})")
         values[section][key] = value
     return values
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import raise_at_first
+from .numerics import check, raise_at_first
 from .series import CurveSeries
 
 TIME_WEEKS = "time_weeks"
@@ -39,12 +39,8 @@ class PowerLawTester:
     label: str = "tester"
 
     def __post_init__(self):
-        if not self.initial_rate > 0:
-            raise ValueError(f"initial_rate must be > 0, got {self.initial_rate}")
-        if self.difficulty_exponent < 0:
-            raise ValueError(
-                f"difficulty_exponent must be >= 0, got {self.difficulty_exponent}"
-            )
+        check("initial_rate", self.initial_rate, "must be > 0")
+        check("difficulty_exponent", self.difficulty_exponent, "must be >= 0")
         if self.basis not in (TIME_WEEKS, ATTEMPTS):
             raise ValueError(f"basis must be {TIME_WEEKS!r} or {ATTEMPTS!r}, got {self.basis!r}")
 
@@ -56,8 +52,7 @@ class AttemptRate:
     attempts_per_week: float
 
     def __post_init__(self):
-        if not self.attempts_per_week > 0:
-            raise ValueError(f"attempts_per_week must be > 0, got {self.attempts_per_week}")
+        check("attempts_per_week", self.attempts_per_week, "must be > 0")
 
 
 def discovery_rate(tester: PowerLawTester, t: float) -> float:
@@ -98,8 +93,7 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
 
 def convert_attempts_time(eta: AttemptRate, value: float, direction: str) -> float:
     """Convert between a total attempt count and a total time span."""
-    if value < 0:
-        raise ValueError(f"value must be >= 0, got {value}")
+    check("value", value, "must be >= 0")
     if direction == ATTEMPTS_TO_TIME:
         return value / eta.attempts_per_week
     if direction == TIME_TO_ATTEMPTS:
@@ -112,8 +106,7 @@ def convert_attempts_time(eta: AttemptRate, value: float, direction: str) -> flo
 def total_discoveries_limit(tester: PowerLawTester, t1: float):
     """All-time expected discoveries from t1 on: a number for alpha > 1,
     UNBOUNDED for alpha <= 1 (log divergence included)."""
-    if t1 <= 0:
-        raise ValueError(f"t1 must be > 0, got {t1}")
+    check("t1", t1, "must be > 0")
     alpha = tester.difficulty_exponent
     if alpha > 1:
         return tester.initial_rate / (alpha - 1) * t1 ** (1.0 - alpha)
@@ -155,8 +148,7 @@ def week_interval(tester: PowerLawTester, week):
 
 def weekly_series(tester: PowerLawTester, weeks: int) -> CurveSeries:
     """Expected new discoveries per week for the first ``weeks`` weeks."""
-    if weeks < 1:
-        raise ValueError(f"weeks must be >= 1, got {weeks}")
+    check("weeks", weeks, "must be >= 1")
     week = np.arange(1, weeks + 1)
     return CurveSeries(
         {"week": week, "discoveries": expected_discoveries(tester, *week_interval(tester, week))},

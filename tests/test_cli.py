@@ -246,9 +246,22 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flag,message", [
         ("--trials", "trials must be >= 1, got 0"),
         ("--workers", "workers must be >= 1, got 0"),
-    ], ids=["trials", "workers"])
+        ("--seed", "seed must be a 64-bit unsigned integer, got -1"),
+    ], ids=["trials", "workers", "seed"])
     def test_override_out_of_range_exits_1(self, flag, message, capsys):
-        code, out, err = run_cli(["simulate", "--kind", "phishing", flag, "0"], capsys)
+        value = "-1" if flag == "--seed" else "0"
+        code, out, err = run_cli(["simulate", "--kind", "phishing", flag, value], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args,message", [
+        (["--kind", "race", "--probe", "nan"], "argument --probe: 'nan' is not finite"),
+        (["--kind", "race", "--probe", "inf"], "argument --probe: 'inf' is not finite"),
+        (["--kind", "discovery", "--t2", "inf"], "argument --t2: 'inf' is not finite"),
+        (["--kind", "discovery", "--t1", "nan"], "argument --t1: 'nan' is not finite"),
+        (["--kind", "discovery", "--t1", "abc"], "argument --t1: 'abc' is not a number"),
+    ], ids=["probe-nan", "probe-inf", "t2-inf", "t1-nan", "t1-abc"])
+    def test_flag_number_must_be_finite(self, args, message, capsys):
+        code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_discovery_simulation(self, capsys):

@@ -31,10 +31,13 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
             SimConfig(trials=0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got -1$"):
             SimConfig(trials=10, seed=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {2**64}$"):
             SimConfig(trials=10, seed=2**64)
+        # Philox would truncate a fractional seed without a word
+        with pytest.raises(ValueError, match=r"^seed must be a 64-bit unsigned integer, got 1\.5$"):
+            SimConfig(trials=10, seed=1.5)
         with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
             SimConfig(trials=10, seed=1, workers=0)
 
@@ -90,6 +93,8 @@ class TestDiscoverySimulation:
         tester = PowerLawTester(6.0, 0.4)
         with pytest.raises(ValueError, match="t1 must be > 0"):
             simulate_discovery(tester, 0.0, 2.0, SimConfig(trials=10, seed=1))
+        with pytest.raises(ValueError, match="^t1 must be > 0, got nan: the thinning"):
+            simulate_discovery(tester, math.nan, 2.0, SimConfig(trials=10, seed=1))
         with pytest.raises(ValueError, match="exceed"):
             simulate_discovery(tester, 2.0, 2.0, SimConfig(trials=10, seed=1))
 
@@ -155,8 +160,12 @@ class TestRaceSimulation:
         assert abs(est.mean - exploitable_fraction(s, 55.0)) <= 4 * est.std_error
 
     def test_negative_probe_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match="^probe times must be >= 0$"):
             simulate_race(CLAMPED, [-5.0], SimConfig(trials=10, seed=1))
+
+    def test_nan_probe_rejected(self):
+        with pytest.raises(ValueError, match="^probe times must be >= 0$"):
+            simulate_race(CLAMPED, [55.0, math.nan], SimConfig(trials=10, seed=1))
 
 
 class TestRegressionSuite:

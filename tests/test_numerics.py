@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybermodels.numerics import (
+    RULES,
     FitResult,
     Grid,
     _nelder_mead,
     argmax_int,
+    check,
     integrate_trapezoid,
     least_squares_fit,
 )
@@ -34,6 +36,29 @@ class TestGrid:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError, match="2 nodes"):
             Grid(0.0, 1.0, 3.0)
+
+
+class TestRangeRules:
+    @pytest.mark.parametrize("rule,inside,outside", [
+        ("must be > 0", [5e-324, 1.0], [0.0, -1.0]),
+        ("must be >= 0", [0.0, -0.0, 1.0], [-5e-324, -1.0]),
+        ("must be >= 1", [1.0, 2.0], [0.9999999999999999, 0.0]),
+        ("must be in [0, 1]", [0.0, 0.5, 1.0], [-5e-324, 1.0000000000000002]),
+        ("must be a 64-bit unsigned integer", [0, 2**64 - 1, 7.0], [-1, 2**64, 1.5]),
+    ])
+    def test_rule_bounds(self, rule, inside, outside):
+        for value in inside:
+            check("x", value, rule)
+        for value in outside:
+            with pytest.raises(ValueError) as excinfo:
+                check("x", value, rule)
+            assert str(excinfo.value) == f"x {rule}, got {value}"
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_nan_breaks_every_rule(self, rule):
+        with pytest.raises(ValueError) as excinfo:
+            check("x", math.nan, rule)
+        assert str(excinfo.value) == f"x {rule}, got nan"
 
 
 class TestTrapezoid:

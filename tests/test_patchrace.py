@@ -38,10 +38,11 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"^rate_per_day must be > 0, got 0\.0$"):
             DeploymentParams(0.0)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
     @pytest.mark.parametrize("field", ["amplitude", "growth_exponent", "decay_per_day"])
-    def test_exploit_curve_field_must_be_non_negative(self, field):
-        with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got -1\.0$"):
-            ExploitCurveParams(**{field: -1.0})
+    def test_exploit_curve_field_must_be_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value}$"):
+            ExploitCurveParams(**{field: value})
 
     def test_exploit_peak_must_stay_probability(self):
         with pytest.raises(ValueError, match="peak"):

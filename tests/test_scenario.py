@@ -129,6 +129,15 @@ class TestValidation:
         ):
             parse(f"[{section}]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("key,raw", [("trials", "1e5"), ("seed", "1.5"), ("workers", "two")])
+    def test_integer_key_rejects_non_integer_text(self, key, raw):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse(f"[montecarlo]\n{key} = {raw}\n")
+        assert str(excinfo.value) == f"test.scn: line 2: key '{key}': '{raw}' is not an integer"
+
+    def test_largest_seed_parses_exactly(self):
+        assert parse("[montecarlo]\nseed = 18446744073709551615\n").sim.seed == 2**64 - 1
+
     def test_hash_inside_a_value_is_kept(self):
         assert parse("[vulndisc]\nlabel = team#1\n").tester.label == "team#1"
 

@@ -32,7 +32,7 @@ CREATIVE_AI = PowerLawTester(6.0, 0.04, label="10x more creative AI")
 
 
 class TestTypes:
-    @pytest.mark.parametrize("c,alpha", [(0.0, 0.4), (-1.0, 0.4), (6.0, -0.1)])
+    @pytest.mark.parametrize("c,alpha", [(0.0, 0.4), (-1.0, 0.4), (6.0, -0.1), (6.0, math.nan)])
     def test_invalid_tester(self, c, alpha):
         if c <= 0:
             message = f"initial_rate must be > 0, got {c}"
