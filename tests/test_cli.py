@@ -58,9 +58,8 @@ class TestPhishingCommand:
         assert row26[3] == pytest.approx(0.28, abs=0.01)
 
     def test_invalid_sweep_exits_1(self, capsys):
-        code, _, err = run_cli(["phishing", "--sweep", "0"], capsys)
-        assert code == 1
-        assert "--sweep" in err and ">= 1" in err
+        code, out, err = run_cli(["phishing", "--sweep", "0"], capsys)
+        assert (code, out, err) == (1, "", "error: --sweep must be >= 1 (got 0)\n")
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -72,9 +71,8 @@ class TestPhishingCommand:
 
 class TestVulndiscCommand:
     def test_weeks_validation_message(self, capsys):
-        code, _, err = run_cli(["vulndisc", "--scenario", "fuzzer.scn", "--weeks", "0"], capsys)
-        assert code == 1
-        assert "--weeks" in err and ">= 1" in err
+        code, out, err = run_cli(["vulndisc", "--scenario", "fuzzer.scn", "--weeks", "0"], capsys)
+        assert (code, out, err) == (1, "", "error: --weeks must be >= 1 (got 0)\n")
 
     def test_weekly_table(self, capsys):
         code, out, _ = run_cli(["vulndisc", "--scenario", "human_bug_bounty.scn", "--weeks", "3"], capsys)
@@ -252,6 +250,15 @@ class TestSimulateCommand:
         value = "-1" if flag == "--seed" else "0"
         code, out, err = run_cli(["simulate", "--kind", "phishing", flag, value], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args,message", [
+        (["--kind", "phishing", "--n", "-1"], "n must be >= 0"),
+        (["--kind", "race", "--probe", "-5"], "probe times must be >= 0"),
+    ], ids=["n", "probe"])
+    def test_model_argument_out_of_range_exits_1(self, args, message, capsys):
+        code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
+        # the race run prints its clamp notice first
+        assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
 
     @pytest.mark.parametrize("args,message", [
         (["--kind", "race", "--probe", "nan"], "argument --probe: 'nan' is not finite"),

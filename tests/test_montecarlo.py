@@ -42,8 +42,9 @@ class TestConfig:
             SimConfig(trials=10, seed=1, workers=0)
 
     def test_estimate_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             SimEstimate(0.5, -0.1, 10)
+        assert str(excinfo.value) == "std_error cannot be negative"
 
 
 class TestDeterminism:
@@ -77,6 +78,11 @@ class TestDeterminism:
 
 
 class TestPhishingSimulation:
+    def test_negative_messages_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            simulate_phishing(BASELINE, -1, SimConfig(trials=10, seed=1))
+        assert str(excinfo.value) == "n must be >= 0"
+
     def test_zero_messages(self):
         est = simulate_phishing(BASELINE, 0, SimConfig(trials=1000, seed=1))
         assert est.infection == SimEstimate(0.0, 0.0, 1000)

@@ -260,5 +260,6 @@ class TestLeastSquares:
         assert fit.residual <= initial_sse + 1e-12
 
     def test_fit_result_rejects_negative_residual(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             FitResult((1.0,), -0.5, 3, True)
+        assert str(excinfo.value) == "residual (sum of squared errors) cannot be negative"

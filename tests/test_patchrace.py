@@ -87,8 +87,9 @@ class TestDevelopment:
         assert weibull_pdf(DEV, 18.2) == pytest.approx(0.011521498981743, abs=1e-12)
 
     def test_pdf_undefined_at_zero(self):
-        with pytest.raises(ValueError, match="t > 0"):
+        with pytest.raises(ValueError) as excinfo:
             weibull_pdf(DEV, 0.0)
+        assert str(excinfo.value) == "Weibull density is defined for t > 0 only (got t=0.0)"
 
     def test_pdf_integrates_to_cdf_difference(self):
         val = integrate_trapezoid(lambda t: weibull_pdf(DEV, t), Grid(1.0, 100.0, 0.01))

@@ -73,8 +73,15 @@ class TestPointProbabilities:
         assert p_undetected(AI_WRITER_DETECTOR, 2) == pytest.approx(0.28, abs=0.005)
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            p_infection(BASELINE, -1)
+        for fn in (p_infection, p_no_alert, p_undetected):
+            with pytest.raises(ValueError) as excinfo:
+                fn(BASELINE, -1)
+            assert str(excinfo.value) == "n must be >= 0"
+
+    def test_negative_campaign_size_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            CampaignPoint(-1, 0.0, 1.0, 0.0)
+        assert str(excinfo.value) == "n_messages must be >= 0"
 
 
 class TestOptimalCampaign:

@@ -270,6 +270,32 @@ def test_one_bad_element_raises_the_scalar_error(name):
     assert str(array.value) == str(scalar.value)
 
 
+# name -> the exact text of the check that rejects CONTRACT's invalid element
+MESSAGES = {
+    "patch_developed_cdf": "t must be >= 0, got -2.0",
+    "patch_deployed_cdf": "t must be >= 0, got -2.0",
+    "patch_developed_all_vulns": "t must be >= 0, got -2.0",
+    "exploit_availability": "t must be >= 0, got -2.0",
+    "exploit_availability_clamped": "t must be >= 0, got -2.0",
+    "p_infection": "n must be >= 0",
+    "p_no_alert": "n must be >= 0",
+    "p_undetected": "n must be >= 0",
+    "expected_discoveries": "t1 must be >= 0, got -2.0",
+    "week_interval": "week must be >= 1, got 0.0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_bad_element_text_alone_and_first_in_a_2d_array(name):
+    fn, x, bad = CONTRACT[name]
+    xs = np.full((2, 3), x)
+    xs[0, 2], xs[1, 0] = bad, bad - 1.0  # the text names the first, at [0, 2]
+    for value in (bad, xs):
+        with pytest.raises(ValueError) as excinfo:
+            fn(value)
+        assert str(excinfo.value) == MESSAGES[name]
+
+
 def test_expected_discoveries_names_the_failing_pair():
     with pytest.raises(ValueError, match=r"t2 \(2.0\) must exceed t1 \(3.0\)"):
         expected_discoveries(TESTER, np.array([1.0, 3.0]), np.array([2.0, 2.0]))

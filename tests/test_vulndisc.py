@@ -63,8 +63,15 @@ class TestDiscoveryRate:
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_undefined_at_nonpositive_time(self, t):
-        with pytest.raises(ValueError, match="t <= 0"):
+        with pytest.raises(ValueError) as excinfo:
             discovery_rate(HUMAN, t)
+        assert str(excinfo.value) == f"discovery rate is undefined at t <= 0 (got t={t})"
+
+    @pytest.mark.parametrize("week", [0, np.array([[1, 0], [-1, 2]])], ids=["int", "2d"])
+    def test_week_before_the_first_rejected(self, week):
+        with pytest.raises(ValueError) as excinfo:
+            week_interval(HUMAN, week)
+        assert str(excinfo.value) == "week must be >= 1, got 0"
 
 
 def decimal_expected(tester, t1, t2):
