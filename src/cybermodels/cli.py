@@ -20,7 +20,7 @@ import numpy as np
 
 from . import calibration, montecarlo, patchrace, phishing, vulndisc
 from .montecarlo import RNG_ALGORITHM
-from .numerics import finite_float
+from .numerics import check, finite_float
 from .scenario import resolve_scenario
 from .series import CurveSeries, rows_to_csv, write_text
 
@@ -97,15 +97,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_phishing(args) -> str:
-    if args.sweep < 1:
-        raise ValueError(f"--sweep must be >= 1 (got {args.sweep})")
+    check("--sweep", args.sweep, "must be >= 1")
     scn = resolve_scenario(args.scenario)
     return phishing.campaign_sweep(scn.phishing, args.sweep).to_csv()
 
 
 def _cmd_vulndisc(args) -> str:
-    if args.weeks < 1:
-        raise ValueError(f"--weeks must be >= 1 (got {args.weeks})")
+    check("--weeks", args.weeks, "must be >= 1")
     scn = resolve_scenario(args.scenario)
     series = vulndisc.weekly_series(scn.tester, args.weeks)
     cumulative = np.cumsum(series.column("discoveries"))

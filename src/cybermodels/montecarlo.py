@@ -51,8 +51,7 @@ class SimEstimate:
     trials: int
 
     def __post_init__(self):
-        if self.std_error < 0:
-            raise ValueError("std_error cannot be negative")
+        check("std_error", self.std_error, "must be >= 0")
 
 
 class PhishingEstimates(NamedTuple):
@@ -86,8 +85,7 @@ def _bernoulli_estimate(successes: int, trials: int) -> SimEstimate:
 def simulate_phishing(params: PhishingParams, n: int, cfg: SimConfig) -> PhishingEstimates:
     """Estimate infection / no-alert / undetected probabilities by drawing
     every message's click, human-report, and machine-report event."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check("n", n, "must be >= 0")
 
     def block(rng: np.random.Generator, size: int) -> tuple[int, int, int]:
         clicked = np.zeros(size, dtype=bool)
@@ -200,8 +198,7 @@ def simulate_race(
     results analytically at probe times up to the curve's peak time instead.
     """
     probes = [float(t) for t in probe_times]
-    if not all(map(RULES["must be >= 0"], probes)):
-        raise ValueError("probe times must be >= 0")
+    check("probe time", probes, "must be >= 0")
     if not s.exploit.clamp_monotone:
         raise ValueError(
             "simulate_race needs exploit.clamp_monotone=True: the raw "

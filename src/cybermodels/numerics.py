@@ -26,6 +26,10 @@ MAX_ITERATIONS = 4000  # per Nelder-Mead search
 
 _JITTER_SEED = 1905  # fixed so fits are bit-for-bit reproducible across runs
 
+# ten times the 10**6-node grids the race kernel is sized for; a grid is
+# refused before numpy is asked for its nodes
+MAX_GRID_NODES = 10**7
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -36,10 +40,15 @@ class Grid:
     step: float
 
     def __post_init__(self):
-        if not (isinstance(self.step, (int, float)) and self.step > 0):
-            raise ValueError(f"grid step must be > 0, got {self.step}")
+        check("grid step", self.step, "must be > 0")
         if not self.stop > self.start:
             raise ValueError(f"grid stop ({self.stop}) must exceed start ({self.start})")
+        # the span, not n_nodes, whose floor() overflows on an infinite stop
+        if (self.stop - self.start) / self.step >= MAX_GRID_NODES:
+            raise ValueError(
+                f"grid stop ({self.stop}) at step ({self.step}) gives more than "
+                f"{MAX_GRID_NODES} nodes"
+            )
         if self.n_nodes < 2:
             raise ValueError("grid must contain at least 2 nodes")
 
@@ -66,8 +75,7 @@ class FitResult:
     converged: bool
 
     def __post_init__(self):
-        if self.residual < 0:
-            raise ValueError("residual (sum of squared errors) cannot be negative")
+        check("residual", self.residual, "must be >= 0")
 
 
 def raise_at_first(bad, message: str, **values) -> None:
@@ -93,20 +101,32 @@ def finite_float(raw: str) -> float:
     return value
 
 
-# rule text -> predicate; each is a comparison, so NaN fails every rule
-RULES: dict[str, Callable[[float], bool]] = {
+# rule text -> predicate; each is a comparison, so NaN fails every rule, and
+# each but the seed rule (scalar only: int() takes no array) is element-wise
+RULES: dict[str, Callable] = {
     "must be > 0": lambda v: v > 0,
     "must be >= 0": lambda v: v >= 0,
     "must be >= 1": lambda v: v >= 1,
-    "must be in [0, 1]": lambda v: 0 <= v <= 1,
+    "must be in [0, 1]": lambda v: (0 <= v) & (v <= 1),
     "must be a 64-bit unsigned integer": lambda v: 0 <= v < 2**64 and v == int(v),
 }
 
 
 def check(name: str, value, rule: str) -> None:
-    """Raise ValueError unless ``value`` keeps ``rule``, a key of RULES."""
-    if not RULES[rule](value):
+    """Raise ValueError(``<name> <rule>, got <value>``) unless ``value``, a
+    number or an array-like, keeps ``rule``, a key of RULES; an array is
+    reported at its first breaking element."""
+    try:
+        ok = RULES[rule](value)
+    except TypeError:  # a list or tuple: compare it as an array
+        value = np.asarray(value)
+        ok = RULES[rule](value)
+    if ok is True or ok is np.True_:  # a number that keeps the rule
+        return
+    if not isinstance(ok, np.ndarray):
         raise ValueError(f"{name} {rule}, got {value}")
+    if not ok.all():
+        raise_at_first(~ok, f"{name} {rule}, got {{value}}", value=value)
 
 
 def integrate_trapezoid(f: Callable[[float], float], grid: Grid) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid, check, raise_at_first
+from .numerics import RULES, Grid, check, raise_at_first
 from .series import CurveSeries
 
 
@@ -63,7 +63,7 @@ class ExploitCurveParams:
         for name in ("amplitude", "growth_exponent", "decay_per_day"):
             check(name, getattr(self, name), "must be >= 0")
         peak = self.peak_value
-        if not (math.isfinite(peak) and 0.0 <= peak <= 1.0):
+        if not RULES["must be in [0, 1]"](peak):
             raise ValueError(
                 f"exploit curve peak value {peak} is outside [0, 1]; "
                 "availability must stay a probability"
@@ -141,8 +141,7 @@ class RaceSummary:
 def weibull_pdf(p: WeibullParams, t: float) -> float:
     """Development delay density; diverges as t->0 for shape < 1, so callers
     integrating near zero must use CDF-difference masses instead."""
-    if t <= 0:
-        raise ValueError(f"Weibull density is defined for t > 0 only (got t={t})")
+    check("t", t, "must be > 0")
     z = t / p.scale_days
     return p.shape / p.scale_days * z ** (p.shape - 1.0) * math.exp(-(z**p.shape))
 
@@ -150,7 +149,7 @@ def weibull_pdf(p: WeibullParams, t: float) -> float:
 def patch_developed_cdf(p: WeibullParams, t):
     """Fraction of post-disclosure patches developed within t days (t a float
     or an array)."""
-    raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
+    check("t", t, "must be >= 0")
     return -np.expm1(-((t / p.scale_days) ** p.shape))
 
 
@@ -167,7 +166,7 @@ def _deployed_cdf(rate: float, t):
 
 def patch_deployed_cdf(d: DeploymentParams, t):
     """Fraction of systems that have installed an available patch by t days."""
-    raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
+    check("t", t, "must be >= 0")
     return _deployed_cdf(d.rate_per_day, t)
 
 
@@ -222,13 +221,13 @@ def patched_fraction(s: PatchRaceScenario, t):
 def exploit_availability(e: ExploitCurveParams, t):
     """Fraction of vulnerabilities with a working exploit by day t (t a float
     or an array)."""
-    raise_at_first(np.less(t, 0), "t must be >= 0, got {t}", t=t)
+    check("t", t, "must be >= 0")
     # np.power, not **: a float gets the same bits as an array element
     value = e.amplitude * np.power(t, e.growth_exponent) * np.exp(-e.decay_per_day * t)
     if e.clamp_monotone:
         value = np.where(t > e.peak_time, e.peak_value, value)[()]
     raise_at_first(
-        ~((0.0 <= value) & (value <= 1.0)),
+        np.logical_not(RULES["must be in [0, 1]"](value)),
         "exploit availability {value} at t={t} is outside [0, 1]; check the curve parameters",
         value=value,
         t=t,

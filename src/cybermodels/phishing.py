@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check, raise_at_first
+from .numerics import check
 from .series import CurveSeries
 
 
@@ -46,8 +46,7 @@ class CampaignPoint:
     p_undetected: float
 
     def __post_init__(self):
-        if self.n_messages < 0:
-            raise ValueError("n_messages must be >= 0")
+        check("n_messages", self.n_messages, "must be >= 0")
         for name in ("p_infection", "p_no_alert", "p_undetected"):
             check(name, getattr(self, name), "must be in [0, 1]")
         if abs(self.p_undetected - self.p_infection * self.p_no_alert) > 1e-12:
@@ -57,13 +56,13 @@ class CampaignPoint:
 def p_infection(params: PhishingParams, n):
     """Probability of at least one click in an n-message campaign (n an int
     or an array of sizes)."""
-    raise_at_first(np.less(n, 0), "n must be >= 0")
+    check("n", n, "must be >= 0")
     return 1.0 - np.power(1.0 - params.p_click, n, dtype=float)
 
 
 def p_no_alert(params: PhishingParams, n):
     """Probability that none of the n messages is reported."""
-    raise_at_first(np.less(n, 0), "n must be >= 0")
+    check("n", n, "must be >= 0")
     return np.power(1.0 - params.p_alert, n, dtype=float)
 
 

@@ -57,8 +57,7 @@ class AttemptRate:
 
 def discovery_rate(tester: PowerLawTester, t: float) -> float:
     """Instantaneous discovery rate c * t**(-alpha); undefined at t <= 0."""
-    if t <= 0:
-        raise ValueError(f"discovery rate is undefined at t <= 0 (got t={t})")
+    check("t", t, "must be > 0")
     return tester.initial_rate * t ** (-tester.difficulty_exponent)
 
 
@@ -75,7 +74,7 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
     """
     alpha = tester.difficulty_exponent
     c = tester.initial_rate
-    raise_at_first(np.less(t1, 0), "t1 must be >= 0, got {t1}", t1=t1)
+    check("t1", t1, "must be >= 0")
     raise_at_first(~np.greater(t2, t1), "t2 ({t2}) must exceed t1 ({t1})", t1=t1, t2=t2)
     if alpha >= 1 and np.any(np.equal(t1, 0)):
         raise ValueError(
@@ -139,7 +138,7 @@ def week_interval(tester: PowerLawTester, week):
     Saturating testers (alpha >= 1) have a divergent integral at 0; their
     clock starts at t=1 and week w covers [w, w+1).
     """
-    raise_at_first(np.less(week, 1), "week must be >= 1, got {week}", week=week)
+    check("week", week, "must be >= 1")
     w = np.asarray(week, dtype=float)[()]
     if tester.difficulty_exponent < 1:
         return (w - 1.0, w)

@@ -59,7 +59,7 @@ class TestPhishingCommand:
 
     def test_invalid_sweep_exits_1(self, capsys):
         code, out, err = run_cli(["phishing", "--sweep", "0"], capsys)
-        assert (code, out, err) == (1, "", "error: --sweep must be >= 1 (got 0)\n")
+        assert (code, out, err) == (1, "", "error: --sweep must be >= 1, got 0\n")
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -72,7 +72,7 @@ class TestPhishingCommand:
 class TestVulndiscCommand:
     def test_weeks_validation_message(self, capsys):
         code, out, err = run_cli(["vulndisc", "--scenario", "fuzzer.scn", "--weeks", "0"], capsys)
-        assert (code, out, err) == (1, "", "error: --weeks must be >= 1 (got 0)\n")
+        assert (code, out, err) == (1, "", "error: --weeks must be >= 1, got 0\n")
 
     def test_weekly_table(self, capsys):
         code, out, _ = run_cli(["vulndisc", "--scenario", "human_bug_bounty.scn", "--weeks", "3"], capsys)
@@ -124,6 +124,16 @@ class TestPatchraceCommand:
         )
         code, _, err = run_cli(["patchrace", "--summary"], capsys)
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("summary", [[], ["--summary"]], ids=["sweep", "summary"])
+    def test_grid_of_too_many_nodes_exits_1_naming_the_file(self, summary, tmp_path, capsys):
+        scn = tmp_path / "huge.scn"
+        scn.write_text("[patchrace]\ngrid_stop_days = 1e30\n", encoding="utf-8")
+        code, out, err = run_cli(["patchrace", *summary, "--scenario", str(scn)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {scn}: grid stop (1e+30) at step (0.25) gives more than 10000000 nodes\n"
+        )
 
     def test_sweep_columns(self, capsys):
         code, out, _ = run_cli(
@@ -252,8 +262,8 @@ class TestSimulateCommand:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("args,message", [
-        (["--kind", "phishing", "--n", "-1"], "n must be >= 0"),
-        (["--kind", "race", "--probe", "-5"], "probe times must be >= 0"),
+        (["--kind", "phishing", "--n", "-1"], "n must be >= 0, got -1"),
+        (["--kind", "race", "--probe", "-5"], "probe time must be >= 0, got -5.0"),
     ], ids=["n", "probe"])
     def test_model_argument_out_of_range_exits_1(self, args, message, capsys):
         code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)

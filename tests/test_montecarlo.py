@@ -44,7 +44,9 @@ class TestConfig:
     def test_estimate_validation(self):
         with pytest.raises(ValueError) as excinfo:
             SimEstimate(0.5, -0.1, 10)
-        assert str(excinfo.value) == "std_error cannot be negative"
+        assert str(excinfo.value) == "std_error must be >= 0, got -0.1"
+        with pytest.raises(ValueError, match="^std_error must be >= 0, got nan$"):
+            SimEstimate(0.5, math.nan, 10)
 
 
 class TestDeterminism:
@@ -81,7 +83,9 @@ class TestPhishingSimulation:
     def test_negative_messages_rejected(self):
         with pytest.raises(ValueError) as excinfo:
             simulate_phishing(BASELINE, -1, SimConfig(trials=10, seed=1))
-        assert str(excinfo.value) == "n must be >= 0"
+        assert str(excinfo.value) == "n must be >= 0, got -1"
+        with pytest.raises(ValueError, match="^n must be >= 0, got nan$"):
+            simulate_phishing(BASELINE, math.nan, SimConfig(trials=10, seed=1))
 
     def test_zero_messages(self):
         est = simulate_phishing(BASELINE, 0, SimConfig(trials=1000, seed=1))
@@ -166,11 +170,11 @@ class TestRaceSimulation:
         assert abs(est.mean - exploitable_fraction(s, 55.0)) <= 4 * est.std_error
 
     def test_negative_probe_rejected(self):
-        with pytest.raises(ValueError, match="^probe times must be >= 0$"):
+        with pytest.raises(ValueError, match=r"^probe time must be >= 0, got -5\.0$"):
             simulate_race(CLAMPED, [-5.0], SimConfig(trials=10, seed=1))
 
     def test_nan_probe_rejected(self):
-        with pytest.raises(ValueError, match="^probe times must be >= 0$"):
+        with pytest.raises(ValueError, match="^probe time must be >= 0, got nan$"):
             simulate_race(CLAMPED, [55.0, math.nan], SimConfig(trials=10, seed=1))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybermodels.numerics import (
+    MAX_GRID_NODES,
     RULES,
     FitResult,
     Grid,
@@ -37,6 +38,29 @@ class TestGrid:
         with pytest.raises(ValueError, match="2 nodes"):
             Grid(0.0, 1.0, 3.0)
 
+    def test_numpy_integer_step(self):
+        assert Grid(0.0, 10.0, np.int64(1)).n_nodes == 11
+
+    @pytest.mark.parametrize("step", [math.nan, 0])
+    def test_step_text(self, step):
+        with pytest.raises(ValueError) as excinfo:
+            Grid(0.0, 1.0, step)
+        assert str(excinfo.value) == f"grid step must be > 0, got {step}"
+
+    # only the Grid is built, never its nodes, so nothing large is allocated
+    def test_node_limit(self):
+        assert Grid(0.0, 250_000.0, 0.25).n_nodes == 10**6 + 1
+        assert Grid(0.0, MAX_GRID_NODES - 1.0, 1.0).n_nodes == MAX_GRID_NODES
+        with pytest.raises(ValueError) as excinfo:
+            Grid(0.0, float(MAX_GRID_NODES), 1.0)
+        assert str(excinfo.value) == (
+            f"grid stop (10000000.0) at step (1.0) gives more than {MAX_GRID_NODES} nodes"
+        )
+        with pytest.raises(ValueError, match=r"^grid stop \(1e\+30\) at step \(0\.25\)"):
+            Grid(0.0, 1e30, 0.25)
+        with pytest.raises(ValueError, match=r"^grid stop \(inf\) at step \(1\.0\)"):
+            Grid(0.0, math.inf, 1.0)
+
 
 class TestRangeRules:
     @pytest.mark.parametrize("rule,inside,outside", [
@@ -59,6 +83,33 @@ class TestRangeRules:
         with pytest.raises(ValueError) as excinfo:
             check("x", math.nan, rule)
         assert str(excinfo.value) == f"x {rule}, got nan"
+
+    @pytest.mark.parametrize("rule,value,bad", [
+        ("must be > 0", [[1.0, 2.0], [0.0, -1.0]], "0.0"),
+        ("must be >= 0", (3, -1, -2), "-1"),
+        ("must be >= 1", [1.0, math.nan, 0.0], "nan"),
+        ("must be in [0, 1]", np.array([[0.5, 1.0], [0.5, 1.5]]), "1.5"),
+    ])
+    def test_array_reported_at_its_first_breaking_element(self, rule, value, bad):
+        with pytest.raises(ValueError) as excinfo:
+            check("x", value, rule)
+        assert str(excinfo.value) == f"x {rule}, got {bad}"
+        check("x", np.ones((2, 2)), rule)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rule=st.sampled_from([r for r in RULES if r != "must be a 64-bit unsigned integer"]),
+        value=st.one_of(st.floats(), st.integers(-(2**63), 2**63 - 1)),
+    )
+    def test_a_number_and_its_one_element_array_agree(self, rule, value):
+        texts = []
+        for candidate in (value, np.array([value])):
+            try:
+                check("x", candidate, rule)
+                texts.append(None)
+            except ValueError as exc:
+                texts.append(str(exc))
+        assert texts[0] == texts[1]
 
 
 class TestTrapezoid:
@@ -262,4 +313,6 @@ class TestLeastSquares:
     def test_fit_result_rejects_negative_residual(self):
         with pytest.raises(ValueError) as excinfo:
             FitResult((1.0,), -0.5, 3, True)
-        assert str(excinfo.value) == "residual (sum of squared errors) cannot be negative"
+        assert str(excinfo.value) == "residual must be >= 0, got -0.5"
+        with pytest.raises(ValueError, match="^residual must be >= 0, got nan$"):
+            FitResult((1.0,), math.nan, 3, True)

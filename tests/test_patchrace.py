@@ -89,7 +89,9 @@ class TestDevelopment:
     def test_pdf_undefined_at_zero(self):
         with pytest.raises(ValueError) as excinfo:
             weibull_pdf(DEV, 0.0)
-        assert str(excinfo.value) == "Weibull density is defined for t > 0 only (got t=0.0)"
+        assert str(excinfo.value) == "t must be > 0, got 0.0"
+        with pytest.raises(ValueError, match="^t must be > 0, got nan$"):
+            weibull_pdf(DEV, math.nan)
 
     def test_pdf_integrates_to_cdf_difference(self):
         val = integrate_trapezoid(lambda t: weibull_pdf(DEV, t), Grid(1.0, 100.0, 0.01))

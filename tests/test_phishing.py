@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,12 +78,14 @@ class TestPointProbabilities:
         for fn in (p_infection, p_no_alert, p_undetected):
             with pytest.raises(ValueError) as excinfo:
                 fn(BASELINE, -1)
-            assert str(excinfo.value) == "n must be >= 0"
+            assert str(excinfo.value) == "n must be >= 0, got -1"
 
     def test_negative_campaign_size_rejected(self):
         with pytest.raises(ValueError) as excinfo:
             CampaignPoint(-1, 0.0, 1.0, 0.0)
-        assert str(excinfo.value) == "n_messages must be >= 0"
+        assert str(excinfo.value) == "n_messages must be >= 0, got -1"
+        with pytest.raises(ValueError, match="^n_messages must be >= 0, got nan$"):
+            CampaignPoint(math.nan, 0.0, 1.0, 0.0)
 
 
 class TestOptimalCampaign:

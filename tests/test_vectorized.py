@@ -202,24 +202,32 @@ RACE = PatchRaceScenario()
 TESTER = PowerLawTester(6.0, 0.4)
 PHISH = PRESETS["baseline.scn"].phishing
 
-# name -> (function of one argument, a valid float, an invalid element)
+NAN = math.nan
+
+# name -> (function of one argument, a valid float, its invalid elements)
 CONTRACT = {
-    "patch_developed_cdf": (lambda t: patch_developed_cdf(RACE.dev, t), 30.0, -2.0),
-    "patch_deployed_cdf": (lambda t: patch_deployed_cdf(RACE.dep, t), 30.0, -2.0),
+    "patch_developed_cdf": (lambda t: patch_developed_cdf(RACE.dev, t), 30.0, (-2.0, NAN)),
+    "patch_deployed_cdf": (lambda t: patch_deployed_cdf(RACE.dep, t), 30.0, (-2.0, NAN)),
     "patch_developed_all_vulns": (
-        lambda t: patch_developed_all_vulns(RACE.dev, 0.78, t), 30.0, -2.0,
+        lambda t: patch_developed_all_vulns(RACE.dev, 0.78, t), 30.0, (-2.0, NAN),
     ),
-    "exploit_availability": (lambda t: exploit_availability(RACE.exploit, t), 30.0, -2.0),
+    "exploit_availability": (
+        lambda t: exploit_availability(RACE.exploit, t), 30.0, (-2.0, NAN),
+    ),
     "exploit_availability_clamped": (
-        lambda t: exploit_availability(ExploitCurveParams(clamp_monotone=True), t), 900.0, -2.0,
+        lambda t: exploit_availability(ExploitCurveParams(clamp_monotone=True), t),
+        900.0,
+        (-2.0, NAN),
     ),
-    "patched_fraction": (lambda t: patched_fraction(RACE, t), 30.0, -2.0),
-    "exploitable_fraction": (lambda t: exploitable_fraction(RACE, t), 30.0, 800.0),
-    "p_infection": (lambda n: p_infection(PHISH, n), 26.0, -1.0),
-    "p_no_alert": (lambda n: p_no_alert(PHISH, n), 26.0, -1.0),
-    "p_undetected": (lambda n: p_undetected(PHISH, n), 26.0, -1.0),
-    "expected_discoveries": (lambda t1: expected_discoveries(TESTER, t1, 600.0), 3.0, -2.0),
-    "week_interval": (lambda w: week_interval(TESTER, w)[1], 3.0, 0.0),
+    "patched_fraction": (lambda t: patched_fraction(RACE, t), 30.0, (-2.0, NAN)),
+    "exploitable_fraction": (lambda t: exploitable_fraction(RACE, t), 30.0, (800.0, NAN)),
+    "p_infection": (lambda n: p_infection(PHISH, n), 26.0, (-1.0, NAN)),
+    "p_no_alert": (lambda n: p_no_alert(PHISH, n), 26.0, (-1.0, NAN)),
+    "p_undetected": (lambda n: p_undetected(PHISH, n), 26.0, (-1.0, NAN)),
+    "expected_discoveries": (
+        lambda t1: expected_discoveries(TESTER, t1, 600.0), 3.0, (-2.0, NAN),
+    ),
+    "week_interval": (lambda w: week_interval(TESTER, w)[1], 3.0, (0.0, NAN)),
 }
 
 
@@ -262,38 +270,54 @@ def test_summary_one_year_value_is_the_sweep_node_bit_for_bit(race):
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_one_bad_element_raises_the_scalar_error(name):
-    fn, x, bad = CONTRACT[name]
-    with pytest.raises(ValueError) as scalar:
-        fn(bad)
-    with pytest.raises(ValueError) as array:
-        fn(np.array([x, bad, x]))
-    assert str(array.value) == str(scalar.value)
+    fn, x, bads = CONTRACT[name]
+    for bad in bads:
+        with pytest.raises(ValueError) as scalar:
+            fn(bad)
+        with pytest.raises(ValueError) as array:
+            fn(np.array([x, bad, x]))
+        assert str(array.value) == str(scalar.value)
 
 
-# name -> the exact text of the check that rejects CONTRACT's invalid element
+# name -> the exact text of the check that rejects each of CONTRACT's
+# invalid elements
 MESSAGES = {
-    "patch_developed_cdf": "t must be >= 0, got -2.0",
-    "patch_deployed_cdf": "t must be >= 0, got -2.0",
-    "patch_developed_all_vulns": "t must be >= 0, got -2.0",
-    "exploit_availability": "t must be >= 0, got -2.0",
-    "exploit_availability_clamped": "t must be >= 0, got -2.0",
-    "p_infection": "n must be >= 0",
-    "p_no_alert": "n must be >= 0",
-    "p_undetected": "n must be >= 0",
-    "expected_discoveries": "t1 must be >= 0, got -2.0",
-    "week_interval": "week must be >= 1, got 0.0",
+    "patch_developed_cdf": ("t must be >= 0, got -2.0", "t must be >= 0, got nan"),
+    "patch_deployed_cdf": ("t must be >= 0, got -2.0", "t must be >= 0, got nan"),
+    "patch_developed_all_vulns": ("t must be >= 0, got -2.0", "t must be >= 0, got nan"),
+    "exploit_availability": ("t must be >= 0, got -2.0", "t must be >= 0, got nan"),
+    "exploit_availability_clamped": ("t must be >= 0, got -2.0", "t must be >= 0, got nan"),
+    "p_infection": ("n must be >= 0, got -1.0", "n must be >= 0, got nan"),
+    "p_no_alert": ("n must be >= 0, got -1.0", "n must be >= 0, got nan"),
+    "p_undetected": ("n must be >= 0, got -1.0", "n must be >= 0, got nan"),
+    "expected_discoveries": ("t1 must be >= 0, got -2.0", "t1 must be >= 0, got nan"),
+    "week_interval": ("week must be >= 1, got 0.0", "week must be >= 1, got nan"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MESSAGES))
 def test_bad_element_text_alone_and_first_in_a_2d_array(name):
-    fn, x, bad = CONTRACT[name]
-    xs = np.full((2, 3), x)
-    xs[0, 2], xs[1, 0] = bad, bad - 1.0  # the text names the first, at [0, 2]
-    for value in (bad, xs):
-        with pytest.raises(ValueError) as excinfo:
-            fn(value)
-        assert str(excinfo.value) == MESSAGES[name]
+    fn, x, bads = CONTRACT[name]
+    for bad, message in zip(bads, MESSAGES[name]):
+        xs = np.full((2, 3), x)
+        xs[0, 2], xs[1, 0] = bad, -5.0  # the text names the first, at [0, 2]
+        for value in (bad, xs):
+            with pytest.raises(ValueError) as excinfo:
+                fn(value)
+            assert str(excinfo.value) == message
+
+
+# exact results for the Python list [1, 2], which these functions take as
+# they take an array
+@pytest.mark.parametrize("fn,result", [
+    (lambda n: p_infection(PHISH, n), [0.030000000000000027, 0.05910000000000004]),
+    (lambda n: p_no_alert(PHISH, n), [0.97515, 0.9509175225]),
+    (lambda n: p_undetected(PHISH, n), [0.029254500000000024, 0.05619922557975004]),
+    (lambda w: week_interval(TESTER, w)[0], [0.0, 1.0]),
+    (lambda w: week_interval(TESTER, w)[1], [1.0, 2.0]),
+], ids=["p_infection", "p_no_alert", "p_undetected", "week_start", "week_end"])
+def test_python_list_input_keeps_its_results(fn, result):
+    assert fn([1, 2]).tolist() == result
 
 
 def test_expected_discoveries_names_the_failing_pair():

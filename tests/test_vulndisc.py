@@ -61,11 +61,11 @@ class TestDiscoveryRate:
         # 6 * 52**-0.04 at high precision
         assert discovery_rate(CREATIVE_AI, 52.0) == pytest.approx(5.12284383042896, abs=1e-10)
 
-    @pytest.mark.parametrize("t", [0.0, -1.0])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
     def test_undefined_at_nonpositive_time(self, t):
         with pytest.raises(ValueError) as excinfo:
             discovery_rate(HUMAN, t)
-        assert str(excinfo.value) == f"discovery rate is undefined at t <= 0 (got t={t})"
+        assert str(excinfo.value) == f"t must be > 0, got {t}"
 
     @pytest.mark.parametrize("week", [0, np.array([[1, 0], [-1, 2]])], ids=["int", "2d"])
     def test_week_before_the_first_rejected(self, week):
@@ -125,6 +125,10 @@ class TestExpectedDiscoveries:
             expected_discoveries(HUMAN, 2.0, 2.0)
         with pytest.raises(ValueError):
             expected_discoveries(HUMAN, -1.0, 2.0)
+
+    def test_nan_start_is_named_before_the_interval(self):
+        with pytest.raises(ValueError, match="^t1 must be >= 0, got nan$"):
+            expected_discoveries(HUMAN, math.nan, 5.0)
 
     def test_continuous_across_alpha_one(self):
         # the true sensitivity is dS/d(alpha) = c/2 * (ln^2 t2 - ln^2 t1),
