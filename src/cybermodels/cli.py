@@ -1,9 +1,11 @@
 """Scenario-driven command line emitting CSV plot data.
 
-Subcommands: phishing, vulndisc, patchrace, fit, simulate, figures. Output is
-always CSV (header row, 12 significant digits, LF line endings) written to
---out or standard output; ``figures`` regenerates the toolkit's standard
-figure datasets, one CSV per figure, into a directory.
+Subcommands: phishing, vulndisc, patchrace, fit, simulate, figures. Each
+handler returns a table (a CurveSeries or a (header, rows) pair; ``figures`` a
+mapping of figure name to CurveSeries for the toolkit's standard figure
+datasets), and ``main`` alone formats and writes it: CSV (header row, 12
+significant digits, LF line endings) to --out or standard output, or one CSV
+per figure into the --out directory.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
@@ -96,21 +98,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_phishing(args) -> str:
+def _cmd_phishing(args) -> CurveSeries:
     check("--sweep", args.sweep, "must be >= 1")
     scn = resolve_scenario(args.scenario)
-    return phishing.campaign_sweep(scn.phishing, args.sweep).to_csv()
+    return phishing.campaign_sweep(scn.phishing, args.sweep)
 
 
-def _cmd_vulndisc(args) -> str:
+def _cmd_vulndisc(args) -> CurveSeries:
     check("--weeks", args.weeks, "must be >= 1")
     scn = resolve_scenario(args.scenario)
     series = vulndisc.weekly_series(scn.tester, args.weeks)
     cumulative = np.cumsum(series.column("discoveries"))
-    return CurveSeries({**series.columns, "cumulative": cumulative}, series.x_label).to_csv()
+    return CurveSeries({**series.columns, "cumulative": cumulative}, series.x_label)
 
 
-def _cmd_patchrace(args) -> str:
+def _cmd_patchrace(args):
     scn = resolve_scenario(args.scenario)
     if args.summary:
         with warnings.catch_warnings(record=True) as caught:
@@ -118,25 +120,25 @@ def _cmd_patchrace(args) -> str:
             s = patchrace.race_summary(scn.race)
         for w in caught:
             print(f"notice: {w.message}", file=sys.stderr)
-        return rows_to_csv(
+        return (
             ["peak_time_days", "peak_fraction", "fraction_at_1yr"],
             [[s.peak_time, s.peak_fraction, s.fraction_at_1yr]],
         )
-    return patchrace.race_sweep(scn.race).to_csv()
+    return patchrace.race_sweep(scn.race)
 
 
-def _cmd_fit(args) -> str:
+def _cmd_fit(args):
     scn = resolve_scenario(args.scenario)
     if args.kind == "weibull":
         samples = calibration.read_cdf_samples(args.data)
         fit = calibration.fit_weibull_cdf(samples)
-        return rows_to_csv(
+        return (
             ["k", "lambda_days", "residual", "iterations", "converged"],
             [[fit.params[0], fit.params[1], fit.residual, fit.iterations, fit.converged]],
         )
     hist = calibration.read_delay_histogram(args.data)
     fit = calibration.fit_exploit_total(hist, scn.race.exploit)
-    return rows_to_csv(
+    return (
         ["total", "exploited", "unexploited", "residual", "iterations", "converged"],
         [[
             fit.params[0],
@@ -149,7 +151,7 @@ def _cmd_fit(args) -> str:
     )
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
     scn = resolve_scenario(args.scenario)
     cfg = scn.sim
     if args.trials is not None:
@@ -167,10 +169,10 @@ def _cmd_simulate(args) -> str:
             ["p_no_alert", est.no_alert.mean, est.no_alert.std_error, *meta],
             ["p_undetected", est.undetected.mean, est.undetected.std_error, *meta],
         ]
-        return rows_to_csv(["quantity", "mean", "std_error", "trials", "seed", "rng"], rows)
+        return ["quantity", "mean", "std_error", "trials", "seed", "rng"], rows
     if args.kind == "discovery":
         est = montecarlo.simulate_discovery(scn.tester, args.t1, args.t2, cfg)
-        return rows_to_csv(
+        return (
             ["t1_weeks", "t2_weeks", "mean", "std_error", "trials", "seed", "rng"],
             [[args.t1, args.t2, est.mean, est.std_error, *meta]],
         )
@@ -182,9 +184,7 @@ def _cmd_simulate(args) -> str:
         race = replace(race, exploit=replace(race.exploit, clamp_monotone=True))
     ests = montecarlo.simulate_race(race, probes, cfg)
     rows = [[probe, est.mean, est.std_error, *meta] for probe, est in zip(probes, ests)]
-    return rows_to_csv(
-        ["probe_days", "exploitable_fraction", "std_error", "trials", "seed", "rng"], rows
-    )
+    return ["probe_days", "exploitable_fraction", "std_error", "trials", "seed", "rng"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +299,34 @@ FIGURES = {
 }
 
 
-def _cmd_figures(args) -> None:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_figures(args) -> dict[str, CurveSeries]:
     race = resolve_scenario(None).race
     sweep = patchrace.race_sweep(race)
-    for name, build in FIGURES.items():
-        build(race, sweep).write_csv(outdir / f"{name}.csv")
+    return {name: build(race, sweep) for name, build in FIGURES.items()}
+
+
+# The flags of type _finite. argparse reads a value such as -inf or -1e5 as an
+# option, so main first joins each to a following token that float() accepts:
+# "--probe -inf" becomes "--probe=-inf" and reaches the flag's own check.
+_NUMBER_FLAGS = ("--t1", "--t2", "--probe")
+
+
+def _join_number_flags(argv) -> list[str]:
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMBER_FLAGS and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 # Built once, after the handlers it names; parse_args leaves the parser as it
@@ -315,10 +336,16 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-        text = args.run(args)
-        if text is not None:  # figures writes its own directory
-            write_text(text, args.out)
+        args = _PARSER.parse_args(_join_number_flags(sys.argv[1:] if argv is None else argv))
+        result = args.run(args)
+        if isinstance(result, dict):  # figures: one CSV per table into a directory
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            for name, series in result.items():
+                series.write_csv(Path(args.out) / f"{name}.csv")
+        elif isinstance(result, CurveSeries):
+            result.write_csv(args.out)
+        else:  # a (header, rows) pair
+            write_text(rows_to_csv(*result), args.out)
         return EXIT_OK
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -11,6 +11,8 @@ from cybermodels.cli import FIGURES, main
 from cybermodels.scenario import resolve_scenario
 from cybermodels.series import rows_to_csv
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
 # columns that hold counts/axes rather than probabilities, per figure CSV
 NON_PROBABILITY_COLUMNS = {
     "n",
@@ -61,12 +63,25 @@ class TestPhishingCommand:
         code, out, err = run_cli(["phishing", "--sweep", "0"], capsys)
         assert (code, out, err) == (1, "", "error: --sweep must be >= 1, got 0\n")
 
-    def test_out_file(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code, stdout, _ = run_cli(["phishing", "--sweep", "5", "--out", str(out)], capsys)
+
+class TestOutput:
+    """``main`` is the one writer: each kind of table reaches stdout and
+    ``--out`` as the same bytes."""
+
+    @pytest.mark.parametrize("args", [
+        ["phishing", "--sweep", "5"],
+        ["vulndisc", "--weeks", "3"],
+        ["patchrace", "--summary"],
+        ["fit", "--kind", "weibull", "--data", str(DATA / "patch_dev_reference.csv")],
+        ["simulate", "--kind", "phishing", "--trials", "2000"],
+    ], ids=["phishing", "vulndisc", "patchrace-summary", "fit-weibull", "simulate-phishing"])
+    def test_out_file(self, args, tmp_path, capsys):
+        code, stdout, _ = run_cli(args, capsys)
         assert code == 0
-        assert stdout == ""
-        assert out.read_text(encoding="utf-8").startswith("n,p_infection")
+        out = tmp_path / "table.csv"
+        code, written, _ = run_cli([*args, "--out", str(out)], capsys)
+        assert (code, written) == (0, "")
+        assert out.read_bytes() == stdout.encode("utf-8")
 
 
 class TestVulndiscCommand:
@@ -264,7 +279,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("args,message", [
         (["--kind", "phishing", "--n", "-1"], "n must be >= 0, got -1"),
         (["--kind", "race", "--probe", "-5"], "probe time must be >= 0, got -5.0"),
-    ], ids=["n", "probe"])
+        (["--kind", "discovery", "--t1", "-1e5"],
+         "t1 must be > 0, got -100000.0: the thinning majorant (and, for difficulty "
+         "exponents >= 1, the expected count itself) diverges at 0"),
+    ], ids=["n", "probe", "t1-negative"])
     def test_model_argument_out_of_range_exits_1(self, args, message, capsys):
         code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
         # the race run prints its clamp notice first
@@ -276,7 +294,10 @@ class TestSimulateCommand:
         (["--kind", "discovery", "--t2", "inf"], "argument --t2: 'inf' is not finite"),
         (["--kind", "discovery", "--t1", "nan"], "argument --t1: 'nan' is not finite"),
         (["--kind", "discovery", "--t1", "abc"], "argument --t1: 'abc' is not a number"),
-    ], ids=["probe-nan", "probe-inf", "t2-inf", "t1-nan", "t1-abc"])
+        (["--kind", "race", "--probe", "-inf"], "argument --probe: '-inf' is not finite"),
+        (["--kind", "race", "--probe=-inf"], "argument --probe: '-inf' is not finite"),
+    ], ids=["probe-nan", "probe-inf", "t2-inf", "t1-nan", "t1-abc", "probe-minus-inf",
+            "probe-equals-minus-inf"])
     def test_flag_number_must_be_finite(self, args, message, capsys):
         code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -354,12 +375,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("runtime error:")
 
-    def test_failed_write_exits_2(self, tmp_path, capsys):
-        out_path = tmp_path / "no_such_dir" / "out.csv"
-        code, out, err = run_cli(["phishing", "--sweep", "5", "--out", str(out_path)], capsys)
+    @pytest.mark.parametrize("args", [
+        ["phishing", "--sweep", "5"],
+        ["patchrace", "--summary"],
+        ["figures"],
+    ], ids=["series", "rows", "figures"])
+    def test_failed_write_exits_2(self, args, tmp_path, capsys):
+        if args == ["figures"]:  # a regular file where the directory should be
+            out_path = tmp_path / "taken"
+            out_path.write_text("", encoding="utf-8")
+        else:
+            out_path = tmp_path / "no_such_dir" / "out.csv"
+        before = list(tmp_path.iterdir())
+        code, out, err = run_cli([*args, "--out", str(out_path)], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("runtime error:")
+        assert list(tmp_path.iterdir()) == before  # no file was created
 
     @pytest.mark.parametrize("command,section,key,raw", [
         ("vulndisc", "vulndisc", "c", "inf"),
