@@ -63,6 +63,9 @@ CASES = [
     ("simulate-help", ["simulate", "--help"], {}),
     ("figures", ["figures", "--out", "figs"], {}),
     ("figures-default-dir", ["figures"], {}),
+    # files named like bundled presets in the working directory are not read
+    ("figures-shadowed-presets", ["figures", "--out", "figs"],
+     {"fuzzer.scn": "[vulndisc]\nc = 1\n", "baseline.scn": "[phishing]\np_click = 0.9\n"}),
     # notice: lines on stderr, with the CSV unchanged
     ("notice-coarse-grid", ["patchrace", "--summary", "--scenario", "coarse.scn"],
      {"coarse.scn": "[patchrace]\ngrid_step_days = 2\n"}),
@@ -88,6 +91,8 @@ CASES = [
     ("probe-inf", [*SIM, "--kind", "race", "--probe", "inf"], {}),
     ("probe-minus-inf", [*SIM, "--kind", "race", "--probe", "-inf"], {}),
     ("probe-equals-minus-inf", [*SIM, "--kind", "race", "--probe=-inf"], {}),
+    ("probe-prefix-minus-inf", [*SIM, "--kind", "race", "--prob", "-inf"], {}),
+    ("t-ambiguous-prefix", [*SIM, "--kind", "discovery", "--t", "-5"], {}),
     ("t1-nan", [*SIM, "--kind", "discovery", "--t1", "nan"], {}),
     ("t1-abc", [*SIM, "--kind", "discovery", "--t1", "abc"], {}),
     ("t1-minus-1e5", [*SIM, "--kind", "discovery", "--t1", "-1e5"], {}),

@@ -23,7 +23,7 @@ import numpy as np
 from . import calibration, montecarlo, patchrace, phishing, vulndisc
 from .montecarlo import RNG_ALGORITHM
 from .numerics import check, finite_float
-from .scenario import resolve_scenario
+from .scenario import load_preset, resolve_scenario
 from .series import CurveSeries, rows_to_csv, write_text
 
 EXIT_OK = 0
@@ -207,7 +207,7 @@ def _discoveries(weeks: int) -> CurveSeries:
         "creative_ai": "creative_ai.scn",
     }
     return _columns("week", {
-        name: vulndisc.weekly_series(resolve_scenario(preset).tester, weeks)
+        name: vulndisc.weekly_series(load_preset(preset).tester, weeks)
         for name, preset in presets.items()
     }, "discoveries")
 
@@ -219,7 +219,7 @@ def _undetected(race, sweep) -> CurveSeries:
         "ai_writer_detector": "table1_ai_writer_detector.scn",
     }
     return _columns("n", {
-        name: phishing.campaign_sweep(resolve_scenario(preset).phishing, 200)
+        name: phishing.campaign_sweep(load_preset(preset).phishing, 200)
         for name, preset in presets.items()
     }, "p_undetected")
 
@@ -307,14 +307,18 @@ def _cmd_figures(args) -> dict[str, CurveSeries]:
 
 # The flags of type _finite. argparse reads a value such as -inf or -1e5 as an
 # option, so main first joins each to a following token that float() accepts:
-# "--probe -inf" becomes "--probe=-inf" and reaches the flag's own check.
+# "--probe -inf" becomes "--probe=-inf" and reaches the flag's own check. So
+# does a prefix of exactly one of them, which argparse takes for the flag:
+# "--prob -inf"; "--t", a prefix of both --t1 and --t2, is left for argparse
+# to call ambiguous.
 _NUMBER_FLAGS = ("--t1", "--t2", "--probe")
 
 
 def _join_number_flags(argv) -> list[str]:
     joined = []
     for token in argv:
-        if joined and joined[-1] in _NUMBER_FLAGS and _is_float(token):
+        if (joined and sum(f.startswith(joined[-1]) for f in _NUMBER_FLAGS) == 1
+                and _is_float(token)):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -107,49 +107,15 @@ def _thinning_edges(t1: float, t2: float) -> np.ndarray:
     return np.linspace(t1, t2, pieces + 1)
 
 
-def discovery_interval_counts(
-    tester: PowerLawTester, edges: Iterable[float], cfg: SimConfig
-) -> np.ndarray:
-    """Per-trial event counts of the discovery process in each consecutive
-    [edges[i], edges[i+1]) interval; shape (trials, len(edges)-1).
+def simulate_discovery(
+    tester: PowerLawTester, t1: float, t2: float, cfg: SimConfig
+) -> SimEstimate:
+    """Mean and standard error of simulated discovery counts over [t1, t2].
 
     Simulated by thinning: candidates arrive under a piecewise-constant
     majorant equal to the rate at each subinterval's left endpoint (the rate
     never increases), then are accepted with probability rate(x)/majorant.
     """
-    edges = np.array([float(e) for e in edges])
-    if edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
-    check("interval start", edges[0], "must be > 0")
-
-    c, alpha = tester.initial_rate, tester.difficulty_exponent
-
-    def rate(x: np.ndarray) -> np.ndarray:
-        return c * x**-alpha
-
-    def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        counts = np.zeros((size, edges.size - 1), dtype=np.int64)
-        for j in range(edges.size - 1):
-            sub = _thinning_edges(edges[j], edges[j + 1])
-            for u, v in zip(sub[:-1], sub[1:]):
-                majorant = c * u**-alpha
-                n_cand = rng.poisson(majorant * (v - u), size)
-                total = int(n_cand.sum())
-                if total == 0:
-                    continue
-                xs = rng.uniform(u, v, total)
-                accept = rng.random(total) * majorant < rate(xs)
-                owner = np.repeat(np.arange(size), n_cand)
-                counts[:, j] += np.bincount(owner[accept], minlength=size)
-        return counts
-
-    return np.concatenate(_map_blocks(cfg, block), axis=0)
-
-
-def simulate_discovery(
-    tester: PowerLawTester, t1: float, t2: float, cfg: SimConfig
-) -> SimEstimate:
-    """Mean and standard error of simulated discovery counts over [t1, t2]."""
     if not RULES["must be > 0"](t1):
         raise ValueError(
             f"t1 must be > 0, got {t1}: the thinning majorant (and, for "
@@ -157,7 +123,24 @@ def simulate_discovery(
         )
     if not t2 > t1:
         raise ValueError(f"t2 ({t2}) must exceed t1 ({t1})")
-    counts = discovery_interval_counts(tester, (t1, t2), cfg)[:, 0]
+    c, alpha = tester.initial_rate, tester.difficulty_exponent
+    sub = _thinning_edges(t1, t2)
+
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
+        counts = np.zeros(size, dtype=np.int64)
+        for u, v in zip(sub[:-1], sub[1:]):
+            majorant = c * u**-alpha
+            n_cand = rng.poisson(majorant * (v - u), size)
+            total = int(n_cand.sum())
+            if total == 0:
+                continue
+            xs = rng.uniform(u, v, total)
+            accept = rng.random(total) * majorant < c * xs**-alpha
+            owner = np.repeat(np.arange(size), n_cand)
+            counts += np.bincount(owner[accept], minlength=size)
+        return counts
+
+    counts = np.concatenate(_map_blocks(cfg, block))
     mean = float(counts.mean())
     if counts.size > 1:
         se = float(counts.std(ddof=1) / math.sqrt(counts.size))

@@ -174,6 +174,8 @@ def least_squares_fit(
     if len(bounds) != n_params:
         raise ValueError(f"got {len(bounds)} bounds for {n_params} parameters")
     lo, hi = np.asarray(bounds, dtype=float).T
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("each bound must be finite")
     if np.any(lo > hi):
         raise ValueError("each bound must satisfy lo <= hi")
     if np.any(x0 < lo) or np.any(x0 > hi):
@@ -198,7 +200,7 @@ def least_squares_fit(
             )
         return value  # inf when finite predictions overflow the squared sum
 
-    scale = np.where(np.isfinite(hi - lo), 0.25 * (hi - lo), np.maximum(1.0, np.abs(x0)))
+    scale = 0.25 * (hi - lo)
     rng = np.random.default_rng(_JITTER_SEED)
     jittered = [np.clip(x0 + scale * rng.uniform(-1.0, 1.0, n_params), lo, hi)
                 for _ in range(N_STARTS - 1)]
@@ -213,14 +215,12 @@ def _nelder_mead(fn, x0, lo, hi):
     (best_params, best_value, iterations, converged). The simplex is one
     (n+1, n) array of vertices, sorted by value at the top of each iteration."""
     n = x0.size
-    span = np.where(np.isfinite(hi - lo), hi - lo, np.maximum(1.0, np.abs(x0)) * 2)
-    step = 0.05 * span
+    step = 0.05 * (hi - lo)
 
-    base = np.clip(x0, lo, hi)
-    simplex = np.tile(base, (n + 1, 1))
-    up = base + step
-    np.fill_diagonal(simplex[1:], np.where(up > hi, base - step, up))
-    simplex = np.clip(simplex, lo, hi)
+    # x0 is in the box; where x0 + step passes hi, x0 - step (5% of the width) is not below lo
+    simplex = np.tile(x0, (n + 1, 1))
+    up = x0 + step
+    np.fill_diagonal(simplex[1:], np.where(up > hi, x0 - step, up))
     values = np.array([fn(v) for v in simplex])
 
     converged = False

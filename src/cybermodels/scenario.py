@@ -99,14 +99,10 @@ _KEYS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _defaults() -> dict[str, dict[str, object]]:
-    return {sec: {key: spec[2] for key, spec in keys.items()} for sec, keys in _KEYS.items()}
-
-
-def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict[str, object]]:
-    """Parse and validate scenario text into per-section key/value dicts
-    (defaults applied for omitted keys)."""
-    values = _defaults()
+def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
+    """Parse and validate scenario text into domain objects (defaults applied
+    for omitted keys)."""
+    values = {sec: {key: spec[2] for key, spec in keys.items()} for sec, keys in _KEYS.items()}
     seen: dict[tuple[str, str], int] = {}
     section: str | None = None
 
@@ -157,11 +153,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> dict[str, dict
         if rule is not None and not RULES[rule](value):
             raise ScenarioError(f"{source}: line {lineno}: key '{key}' {rule} (got {raw_value})")
         values[section][key] = value
-    return values
 
-
-def build_scenario(values: dict[str, dict[str, object]], source: str = "<scenario>") -> Scenario:
-    """Assemble validated domain objects from parsed values."""
     ph = values["phishing"]
     vd = values["vulndisc"]
     pr = values["patchrace"]
@@ -194,12 +186,12 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
-    return build_scenario(parse_scenario_text(text, str(path)), str(path))
+    return parse_scenario(text, str(path))
 
 
 def default_scenario() -> Scenario:
-    """The all-defaults baseline scenario."""
-    return build_scenario(_defaults(), "<defaults>")
+    """The all-defaults baseline scenario: an empty scenario file."""
+    return parse_scenario("", "<defaults>")
 
 
 def list_bundled() -> list[str]:
@@ -208,19 +200,23 @@ def list_bundled() -> list[str]:
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".scn"))
 
 
+def load_preset(name: str) -> Scenario:
+    """Load a scenario preset shipped with the package; a file of the same
+    name in the working directory is never read."""
+    bundled = resources.files(__package__).joinpath("scenarios", name)
+    if not bundled.is_file():
+        raise ScenarioError(
+            f"scenario file not found: {name} (bundled presets: "
+            f"{', '.join(list_bundled())})"
+        )
+    return parse_scenario(bundled.read_text(encoding="utf-8"), name)
+
+
 def resolve_scenario(name_or_path: str | None) -> Scenario:
     """Resolve a --scenario argument: a real file path first, then a bundled
     preset name; None means the baseline defaults."""
     if name_or_path is None:
         return default_scenario()
-    path = Path(name_or_path)
-    if path.is_file():
-        return load_scenario(path)
-    bundled = resources.files(__package__).joinpath("scenarios", str(name_or_path))
-    if bundled.is_file():
-        text = bundled.read_text(encoding="utf-8")
-        return build_scenario(parse_scenario_text(text, str(name_or_path)), str(name_or_path))
-    raise ScenarioError(
-        f"scenario file not found: {name_or_path} (bundled presets: "
-        f"{', '.join(list_bundled())})"
-    )
+    if Path(name_or_path).is_file():
+        return load_scenario(name_or_path)
+    return load_preset(str(name_or_path))

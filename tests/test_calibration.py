@@ -53,6 +53,8 @@ class TestTypes:
             DelayHistogram((0.0, 1.0, 2.0), (1.0,))
         with pytest.raises(ValueError, match=">= 0"):
             DelayHistogram((0.0, 1.0), (-1.0,))
+        with pytest.raises(ValueError, match="^need at least two bin edges$"):
+            DelayHistogram((0.0,), ())
 
     @pytest.mark.parametrize("edge", [math.nan, math.inf])
     def test_histogram_rejects_non_finite_edges(self, edge):
@@ -180,6 +182,11 @@ class TestFitExploitTotal:
         with pytest.raises(ValueError, match="no events"):
             fit_exploit_total(DelayHistogram((0.0, 10.0, 20.0), (0.0, 0.0)), ExploitCurveParams())
 
+    def test_flat_curve_rejected(self):
+        hist = DelayHistogram((0.0, 10.0, 20.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="^availability curve is flat across every bin$"):
+            fit_exploit_total(hist, ExploitCurveParams(amplitude=0.0))
+
     def test_noise_free_proportional_residual_property(self):
         rng = np.random.default_rng(5)
         curve = ExploitCurveParams()
@@ -243,6 +250,36 @@ class TestCsvInput:
         path.write_text("# source\n# units: days\nt,fraction\n1,0.25\n2,oops\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 5:"):
             read_cdf_samples(path)
+
+    def test_blank_and_comment_rows_between_data_are_skipped(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("t,fraction\n1,0.25\n\n# note\n2,0.5\n", encoding="utf-8")
+        assert read_cdf_samples(path) == [CdfSample(1.0, 0.25), CdfSample(2.0, 0.5)]
+        path.write_text("t,fraction\n1,0.25\n\n# note\n2,0.5\n3,oops\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_cdf_samples(path)
+        assert str(excinfo.value) == f"{path}: line 6: fraction='oops' is not a number"
+
+    def test_empty_file_names_the_path(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_cdf_samples(path)
+        assert str(excinfo.value) == f"{path}: empty file, expected a CSV header row"
+
+    def test_header_only_histogram_has_no_rows(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text("bin_start,bin_end,count\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_delay_histogram(path)
+        assert str(excinfo.value) == f"{path}: no histogram rows"
+
+    def test_histogram_error_names_the_path(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text("bin_start,bin_end,count\n0,10,5\n10,20,-3\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_delay_histogram(path)
+        assert str(excinfo.value) == f"{path}: counts must be finite and >= 0"
 
     def test_quoted_multiline_field_counts_its_lines(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -282,7 +282,8 @@ class TestSimulateCommand:
         (["--kind", "discovery", "--t1", "-1e5"],
          "t1 must be > 0, got -100000.0: the thinning majorant (and, for difficulty "
          "exponents >= 1, the expected count itself) diverges at 0"),
-    ], ids=["n", "probe", "t1-negative"])
+        (["--kind", "race", "--pro", "-1e5"], "probe time must be >= 0, got -100000.0"),
+    ], ids=["n", "probe", "t1-negative", "probe-prefix-negative"])
     def test_model_argument_out_of_range_exits_1(self, args, message, capsys):
         code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
         # the race run prints its clamp notice first
@@ -296,8 +297,14 @@ class TestSimulateCommand:
         (["--kind", "discovery", "--t1", "abc"], "argument --t1: 'abc' is not a number"),
         (["--kind", "race", "--probe", "-inf"], "argument --probe: '-inf' is not finite"),
         (["--kind", "race", "--probe=-inf"], "argument --probe: '-inf' is not finite"),
+        (["--kind", "race", "--prob", "-inf"], "argument --probe: '-inf' is not finite"),
+        (["--kind", "race", "--p", "-inf"], "argument --probe: '-inf' is not finite"),
+        # a prefix of two number flags is not joined; argparse names the clash
+        (["--kind", "discovery", "--t", "-5"],
+         "ambiguous option: --t could match --t1, --t2, --trials"),
     ], ids=["probe-nan", "probe-inf", "t2-inf", "t1-nan", "t1-abc", "probe-minus-inf",
-            "probe-equals-minus-inf"])
+            "probe-equals-minus-inf", "probe-prefix-minus-inf", "p-prefix-minus-inf",
+            "t-ambiguous-prefix"])
     def test_flag_number_must_be_finite(self, args, message, capsys):
         code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -360,6 +367,18 @@ class TestFiguresCommand:
         assert main(["figures", "--out", str(again)]) == 0
         for name in FIGURES:
             assert (again / f"{name}.csv").read_bytes() == (
+                figures_dir / f"{name}.csv"
+            ).read_bytes(), name
+
+    def test_files_named_like_presets_in_the_working_directory_are_not_read(
+        self, figures_dir, tmp_path, monkeypatch
+    ):
+        (tmp_path / "fuzzer.scn").write_text("[vulndisc]\nc = 1\n", encoding="utf-8")
+        (tmp_path / "baseline.scn").write_text("[phishing]\np_click = 0.9\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["figures", "--out", "figs"]) == 0
+        for name in FIGURES:
+            assert (tmp_path / "figs" / f"{name}.csv").read_bytes() == (
                 figures_dir / f"{name}.csv"
             ).read_bytes(), name
 

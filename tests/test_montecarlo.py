@@ -5,13 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cybermodels.montecarlo import (
     SimConfig,
     SimEstimate,
-    discovery_interval_counts,
     run_regression_suite,
     simulate_discovery,
     simulate_phishing,
@@ -108,10 +106,14 @@ class TestDiscoverySimulation:
         with pytest.raises(ValueError, match="exceed"):
             simulate_discovery(tester, 2.0, 2.0, SimConfig(trials=10, seed=1))
 
-    def test_interval_start_must_be_positive(self):
-        cfg = SimConfig(trials=10, seed=1)
-        with pytest.raises(ValueError, match=r"^interval start must be > 0, got 0\.0$"):
-            discovery_interval_counts(PowerLawTester(6.0, 0.4), (0, 1, 2), cfg)
+    def test_single_trial_has_zero_std_error(self):
+        est = simulate_discovery(PowerLawTester(6.0, 0.4), 1.0, 2.0, SimConfig(trials=1, seed=1))
+        assert est.std_error == 0.0
+        assert est.trials == 1
+
+    def test_tester_too_slow_to_draw_a_candidate(self):
+        est = simulate_discovery(PowerLawTester(1e-12, 0.4), 1.0, 2.0, SimConfig(trials=100, seed=1))
+        assert est == SimEstimate(0.0, 0.0, 100)
 
     def test_doubling_rate_doubles_mean(self):
         cfg = SimConfig(trials=20_000, seed=12)
@@ -120,22 +122,18 @@ class TestDiscoverySimulation:
         tolerance = 4.0 * (double.std_error + 2.0 * single.std_error)
         assert abs(double.mean - 2.0 * single.mean) <= tolerance
 
-    def test_adjacent_interval_counts_independent(self):
-        # thinning must produce independent counts on disjoint intervals:
-        # chi-square on the 2x2 high/low contingency, df=1, alpha=0.001
-        counts = discovery_interval_counts(
-            PowerLawTester(5.0, 0.7), (1.0, 2.0, 3.0), SimConfig(trials=10_000, seed=77)
-        )
-        first, second = counts[:, 0], counts[:, 1]
-        hi1 = first > np.median(first)
-        hi2 = second > np.median(second)
-        a = np.sum(hi1 & hi2)
-        b = np.sum(hi1 & ~hi2)
-        c = np.sum(~hi1 & hi2)
-        d = np.sum(~hi1 & ~hi2)
-        n = a + b + c + d
-        chi2 = n * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
-        assert chi2 < 10.828  # 0.001 critical value at 1 degree of freedom
+    @pytest.mark.parametrize(
+        "tester, t1, t2", [(PowerLawTester(2.0, 0.0), 1.0, 11.0), (PowerLawTester(6.0, 0.4), 1.0, 9.0)]
+    )
+    def test_count_variance_equals_its_mean(self, tester, t1, t2):
+        # a thinned Poisson process gives Poisson counts, whose variance is
+        # their mean; the bound is 4 standard errors of a Poisson sample
+        # variance, sqrt((2 mu^2 + mu) / n). Seed 2311 was fixed before the first run.
+        trials = 20_000
+        est = simulate_discovery(tester, t1, t2, SimConfig(trials=trials, seed=2311))
+        variance = est.std_error**2 * trials
+        bound = 4.0 * math.sqrt((2.0 * est.mean**2 + est.mean) / trials)
+        assert abs(variance - est.mean) <= bound
 
     def test_flat_rate_matches_poisson_mean(self):
         est = simulate_discovery(PowerLawTester(2.0, 0.0), 1.0, 11.0, SimConfig(trials=20_000, seed=8))

@@ -218,6 +218,21 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="at least 3"):
             least_squares_fit(lambda p, x: p[0], [(1, 1), (2, 2)], [0.0], [(-10, 10)])
 
+    def test_one_bound_per_parameter(self):
+        with pytest.raises(ValueError, match="^got 2 bounds for 1 parameters$"):
+            least_squares_fit(
+                lambda p, x: p[0], [(1, 1), (2, 2), (3, 3)], [0.5], [(0, 1), (0, 1)]
+            )
+
+    def test_bound_with_lo_above_hi(self):
+        with pytest.raises(ValueError, match="^each bound must satisfy lo <= hi$"):
+            least_squares_fit(lambda p, x: p[0], [(1, 1), (2, 2), (3, 3)], [0.5], [(1, 0)])
+
+    @pytest.mark.parametrize("bound", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_non_finite_bound(self, bound):
+        with pytest.raises(ValueError, match="^each bound must be finite$"):
+            least_squares_fit(lambda p, x: p[0], [(1, 1), (2, 2), (3, 3)], [0.5], [bound])
+
     def test_initial_outside_bounds(self):
         with pytest.raises(ValueError, match="within bounds"):
             least_squares_fit(lambda p, x: p[0], [(1, 1), (2, 2), (3, 3)], [5.0], [(0, 1)])

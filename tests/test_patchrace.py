@@ -243,6 +243,30 @@ class TestExploitAvailability:
         assert np.all(np.diff(vals) >= -1e-15)
         assert exploit_availability(e, 2 * e.peak_time) == pytest.approx(e.peak_value)
 
+    def test_curve_whose_peak_is_1_stays_in_range_near_its_peak(self):
+        # peak_value (** and math.exp) and the curve (np.power and np.exp)
+        # differ in the last bit near the peak; the curve is capped at it
+        a, b = 0.349, 7.9e-4
+        amplitude = 1.0 / ((a / b) ** a * math.exp(-a))
+        assert amplitude == 0.1691977389214853
+        ts = np.linspace(a / b - 1e-6, a / b + 1e-6, 2001)
+        for amp in (amplitude, np.nextafter(amplitude, 0.0)):
+            e = ExploitCurveParams(amp, a, b)
+            values = exploit_availability(e, ts)
+            assert values.max() <= e.peak_value <= 1.0
+        assert ExploitCurveParams(amplitude, a, b).peak_value == 1.0
+
+    def test_infinite_time_still_fails_the_range_check(self):
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^exploit availability nan at t=inf is outside \[0, 1\]"
+        ):
+            exploit_availability(ExploitCurveParams(), math.inf)
+
+    def test_zero_amplitude_without_decay_is_valid_and_zero(self):
+        e = ExploitCurveParams(amplitude=0.0, decay_per_day=0.0)
+        assert e.peak_value == 0.0
+        assert np.all(exploit_availability(e, np.array([0.0, 1.0, 1e9])) == 0.0)
+
 
 class TestExploitableFraction:
     def test_headline_peak(self):

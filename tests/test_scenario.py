@@ -8,17 +8,16 @@ from cybermodels.numerics import Grid
 from cybermodels.patchrace import PatchRaceScenario
 from cybermodels.scenario import (
     ScenarioError,
-    build_scenario,
     default_scenario,
     list_bundled,
     load_scenario,
-    parse_scenario_text,
+    parse_scenario,
     resolve_scenario,
 )
 
 
 def parse(text):
-    return build_scenario(parse_scenario_text(text, "test.scn"), "test.scn")
+    return parse_scenario(text, "test.scn")
 
 
 class TestDefaults:
@@ -51,7 +50,7 @@ class TestDefaults:
     def test_readme_example_builds_and_names_every_key(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
-        scn = build_scenario(parse_scenario_text(text, "README.md"), "README.md")
+        scn = parse_scenario(text, "README.md")
         assert scn.tester.label == "black-box fuzzer"
         assert scn.phishing.p_click == 0.3
         sections = re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL)
@@ -148,6 +147,16 @@ class TestValidation:
     def test_probability_bound(self):
         with pytest.raises(ScenarioError, match=r"'p_click' must be in \[0, 1\]"):
             parse("[phishing]\np_click = 1.5\n")
+
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse("[phishing]\np_click\n")
+        assert str(excinfo.value) == "test.scn: line 2: expected 'key = value', got 'p_click'"
+
+    def test_unreadable_file_names_it(self, tmp_path):
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(tmp_path)
+        assert str(excinfo.value).startswith(f"cannot read scenario file {tmp_path}: ")
 
     def test_deploy_speedup_bound(self):
         with pytest.raises(ScenarioError, match="'deploy_speedup' must be >= 1"):
