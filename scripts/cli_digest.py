@@ -15,7 +15,7 @@ the same behaviour print the same lines:
     diff parent.txt change.txt
 
 The cases cover every subcommand on stdout and with ``--out``, ``figures``,
-each kind of validation and write error, and both ``notice:`` lines. The
+each kind of validation and write error, and the ``notice:`` lines. The
 top-level ``--help`` is left out: it prints the module docstring of
 ``cybermodels.cli``, which changes with its documentation.
 """
@@ -60,6 +60,11 @@ CASES = [
                                   "--seed", "3", "--out", "t.csv"], {}),
     ("simulate-race-clamped", [*SIM, "--kind", "race", "--scenario", "clamped.scn"],
      {"clamped.scn": "[patchrace]\nclamp_monotone = true\n"}),
+    # probes past the exploit curve's peak on day 441.8, where raw and clamped part
+    ("simulate-race-raw-past-peak", [*SIM, "--kind", "race", "--probe", "600"], {}),
+    ("simulate-race-clamped-past-peak", [*SIM, "--kind", "race", "--probe", "600",
+                                         "--scenario", "clamped.scn"],
+     {"clamped.scn": "[patchrace]\nclamp_monotone = true\n"}),
     ("simulate-help", ["simulate", "--help"], {}),
     ("figures", ["figures", "--out", "figs"], {}),
     ("figures-default-dir", ["figures"], {}),
@@ -69,6 +74,7 @@ CASES = [
     # notice: lines on stderr, with the CSV unchanged
     ("notice-coarse-grid", ["patchrace", "--summary", "--scenario", "coarse.scn"],
      {"coarse.scn": "[patchrace]\ngrid_step_days = 2\n"}),
+    # the default race run; the id stays so that digests of older checkouts line up
     ("notice-forced-clamp", [*SIM, "--kind", "race"], {}),
     ("notice-power-overflow", ["patchrace", "--summary", "--scenario", "k.scn"],
      {"k.scn": "[patchrace]\nk = 1000\n"}),

@@ -177,12 +177,7 @@ def _cmd_simulate(args):
             [[args.t1, args.t2, est.mean, est.std_error, *meta]],
         )
     probes = args.probe or [55.0, 365.0]
-    race = scn.race
-    if not race.exploit.clamp_monotone:
-        print("notice: simulate --kind race samples the clamped exploit curve "
-              "(clamp_monotone = true)", file=sys.stderr)
-        race = replace(race, exploit=replace(race.exploit, clamp_monotone=True))
-    ests = montecarlo.simulate_race(race, probes, cfg)
+    ests = montecarlo.simulate_race(scn.race, probes, cfg)
     rows = [[probe, est.mean, est.std_error, *meta] for probe, est in zip(probes, ests)]
     return ["probe_days", "exploitable_fraction", "std_error", "trials", "seed", "rng"], rows
 

@@ -1,7 +1,9 @@
 """Sampling-based oracle for the analytic models.
 
 Every estimate here is rebuilt from raw draws: Bernoulli message events,
-thinning of an inhomogeneous Poisson process, and inverse-CDF delay sampling.
+thinning of an inhomogeneous Poisson process, inverse-CDF sampling of the
+patch delays, and a threshold test of a uniform draw against the exploit
+availability curve for exploit arrival.
 The closed forms of the model modules are never called for the draws; in the
 regression suite they feed only the ``analytic`` column, so a bug there cannot
 hide from these estimates.
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import patchrace, phishing, vulndisc
 from .numerics import RULES, check
-from .patchrace import ExploitCurveParams, PatchRaceScenario
+from .patchrace import PatchRaceScenario
 from .phishing import PhishingParams
 from .vulndisc import PowerLawTester
 
@@ -149,47 +151,25 @@ def simulate_discovery(
     return SimEstimate(mean, se, cfg.trials)
 
 
-def _invert_exploit_curve(exploit, u: np.ndarray) -> np.ndarray:
-    """Arrival times for uniform draws under the clamped availability curve
-    treated as a sub-distribution: draws above the cap never arrive."""
-    cap = exploit.peak_value
-    times = np.full(u.shape, np.inf)
-    arrived = u < cap
-    target = u[arrived]
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, exploit.peak_time)
-    a, b, amp = exploit.growth_exponent, exploit.decay_per_day, exploit.amplitude
-    for _ in range(64):  # bisection on the rising branch
-        mid = 0.5 * (lo + hi)
-        val = amp * mid**a * np.exp(-b * mid)
-        go_right = val < target
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    times[arrived] = 0.5 * (lo + hi)
-    return times
-
-
 def simulate_race(
     s: PatchRaceScenario, probe_times: Iterable[float], cfg: SimConfig
 ) -> list[SimEstimate]:
     """Exploitable-system fraction at each probe time, from sampled
-    development, deployment, and exploit-arrival delays.
+    development and deployment delays and a threshold test for the exploit.
 
     A trial is exploitable at probe t when its exploit has arrived by t and
-    its total patch delay exceeds t. Requires a monotone (clamped) exploit
-    curve; the raw curve is not a samplable distribution, so compare raw-curve
-    results analytically at probe times up to the curve's peak time instead.
+    its total patch delay exceeds t. Each trial draws one uniform u_exp, and
+    its exploit has arrived by t when u_exp < A(t): that event has
+    probability exactly A(t), so the scenario's own curve is sampled, raw
+    (declining past its peak) or clamped.
     """
     probes = [float(t) for t in probe_times]
     check("probe time", probes, "must be >= 0")
-    if not s.exploit.clamp_monotone:
-        raise ValueError(
-            "simulate_race needs exploit.clamp_monotone=True: the raw "
-            "availability curve declines past its peak and cannot be sampled "
-            "as a distribution. For raw-curve comparisons, evaluate the "
-            "analytic path at probe times <= the curve peak time "
-            f"({s.exploit.peak_time:.6g} days), where raw and clamped agree."
-        )
+    e = s.exploit
+    days = np.minimum(probes, e.peak_time) if e.clamp_monotone else np.array(probes)
+    # A(t) by the oracle's own formula; np.power makes 0**0 = 1, as in patchrace
+    availability = np.ones_like(days) if s.instant_exploit else (
+        e.amplitude * np.power(days, e.growth_exponent) * np.exp(-e.decay_per_day * days))
     rate = s.effective_deploy_rate
     inv_shape = 1.0 / s.dev.shape
     scale = s.dev.scale_days
@@ -203,13 +183,10 @@ def simulate_race(
         else:
             dev = scale * (-np.log1p(-u_dev)) ** inv_shape
         dep = -np.log1p(-u_dep) / rate
-        if s.instant_exploit:
-            exploit_at = np.zeros(size)
-        else:
-            exploit_at = _invert_exploit_curve(s.exploit, u_exp)
         unpatched_until = dev + dep
         return tuple(
-            int(((exploit_at <= t) & (unpatched_until > t)).sum()) for t in probes
+            int(((u_exp < a) & (unpatched_until > t)).sum())
+            for t, a in zip(probes, availability)
         )
 
     tallies = [sum(t) for t in zip(*_map_blocks(cfg, block))]
@@ -240,8 +217,8 @@ def _regression_cases() -> list[tuple]:
     writer = PhishingParams(0.3, 0.005, 0.01)
     detector = PhishingParams(0.3, 0.005, 0.25)
     human, fuzzer = PowerLawTester(6.0, 0.4), PowerLawTester(85.5, 3.0)
-    clamped = PatchRaceScenario(exploit=ExploitCurveParams(clamp_monotone=True))
-    instant_exploit = replace(clamped, instant_exploit=True)
+    race = PatchRaceScenario()
+    instant_exploit = replace(race, instant_exploit=True)
     return [
         ("phish/base n=26", 101, "phishing", base, (26,)),
         ("phish/base n=5", 102, "phishing", base, (5,)),
@@ -257,10 +234,10 @@ def _regression_cases() -> list[tuple]:
         ("disc/fuzzer [2,6]", 112, "discovery", fuzzer, (2.0, 6.0)),
         ("disc/creative [1,3]", 113, "discovery", PowerLawTester(6.0, 0.04), (1.0, 3.0)),
         ("disc/flat [1,11]", 114, "discovery", PowerLawTester(2.0, 0.0), (1.0, 11.0)),
-        ("race/default @55", 115, "race", clamped, (55.0,)),
-        ("race/default @100", 116, "race", clamped, (100.0,)),
-        ("race/default @365", 117, "race", clamped, (365.0,)),
-        ("race/instant_dev @55", 118, "race", replace(clamped, instant_dev=True), (55.0,)),
+        ("race/default @55", 115, "race", race, (55.0,)),
+        ("race/default @100", 116, "race", race, (100.0,)),
+        ("race/default @365", 117, "race", race, (365.0,)),
+        ("race/instant_dev @55", 118, "race", replace(race, instant_dev=True), (55.0,)),
         ("race/instant_exploit @144", 119, "race", instant_exploit, (144.0,)),
         ("race/instant_exploit 5x @365", 120, "race",
          replace(instant_exploit, deploy_speedup=5.0), (365.0,)),

@@ -10,8 +10,8 @@ that sum into O(N) recursions over the nodes (see ``_patched``).
 Exploit availability follows an exponentially-capped power law
 amplitude * t**growth * exp(-decay * t). Its raw form is not monotone: it
 peaks at t = growth/decay and then declines. The raw curve is the default;
-``clamp_monotone`` holds the curve at its peak value beyond the peak for
-callers that need a true sub-distribution (e.g. sampling).
+``clamp_monotone`` holds the curve at its peak value beyond the peak, for
+callers that want a non-decreasing curve.
 
 Time is measured in days throughout this module.
 """

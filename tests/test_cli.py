@@ -241,18 +241,18 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_race_notice_on_forced_clamp_leaves_stdout_alone(self, tmp_path, capsys):
-        args = ["simulate", "--kind", "race", "--trials", "2000", "--probe", "55"]
-        code, forced, err = run_cli(args, capsys)
-        assert code == 0
-        assert err.startswith("notice: ") and "clamp_monotone" in err
-        assert len(err.splitlines()) == 1
+    def test_race_samples_the_raw_curve_silently(self, tmp_path, capsys):
+        # on or before the peak on day 441.8 the raw and the clamped curve agree,
+        # so the two scenarios draw the same estimates
+        args = ["simulate", "--kind", "race", "--trials", "2000",
+                "--probe", "55", "--probe", "441"]
+        code, raw, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
         scn = tmp_path / "clamped.scn"
         scn.write_text("[patchrace]\nclamp_monotone = true\n", encoding="utf-8")
-        code, explicit, err = run_cli([*args, "--scenario", str(scn)], capsys)
-        assert code == 0
-        assert err == ""
-        assert explicit == forced
+        code, clamped, err = run_cli([*args, "--scenario", str(scn)], capsys)
+        assert (code, err) == (0, "")
+        assert raw == clamped
 
     @pytest.mark.parametrize(
         "kind, extra", [("phishing", []), ("discovery", ["--t2", "9"]), ("race", [])]
@@ -286,8 +286,7 @@ class TestSimulateCommand:
     ], ids=["n", "probe", "t1-negative", "probe-prefix-negative"])
     def test_model_argument_out_of_range_exits_1(self, args, message, capsys):
         code, out, err = run_cli(["simulate", *args, "--trials", "100"], capsys)
-        # the race run prints its clamp notice first
-        assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("args,message", [
         (["--kind", "race", "--probe", "nan"], "argument --probe: 'nan' is not finite"),

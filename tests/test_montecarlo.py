@@ -15,7 +15,12 @@ from cybermodels.montecarlo import (
     simulate_phishing,
     simulate_race,
 )
-from cybermodels.patchrace import ExploitCurveParams, PatchRaceScenario, exploitable_fraction
+from cybermodels.patchrace import (
+    ExploitCurveParams,
+    PatchRaceScenario,
+    WeibullParams,
+    exploitable_fraction,
+)
 from cybermodels.phishing import PhishingParams
 from cybermodels.vulndisc import PowerLawTester
 
@@ -69,6 +74,11 @@ class TestDeterminism:
         assert d1 == d2
         r1 = simulate_race(CLAMPED, [55.0], SimConfig(trials=80_000, seed=5, workers=1))
         r2 = simulate_race(CLAMPED, [55.0], SimConfig(trials=80_000, seed=5, workers=3))
+        assert r1 == r2
+        # the raw curve past its peak on day 441.8
+        raw = PatchRaceScenario()
+        r1 = simulate_race(raw, [600.0], SimConfig(trials=80_000, seed=5, workers=1))
+        r2 = simulate_race(raw, [600.0], SimConfig(trials=80_000, seed=5, workers=3))
         assert r1 == r2
 
     def test_different_seeds_differ(self):
@@ -141,9 +151,9 @@ class TestDiscoverySimulation:
 
 
 class TestRaceSimulation:
-    def test_requires_clamped_curve(self):
-        with pytest.raises(ValueError, match="clamp_monotone"):
-            simulate_race(PatchRaceScenario(), [55.0], SimConfig(trials=10, seed=1))
+    def test_raw_curve_runs(self):
+        est = simulate_race(PatchRaceScenario(), [55.0, 600.0], SimConfig(trials=10, seed=1))
+        assert [e.trials for e in est] == [10, 10]
 
     def test_probe_zero_is_never_exploitable(self):
         est = simulate_race(CLAMPED, [0.0], SimConfig(trials=50_000, seed=2))[0]
@@ -166,6 +176,31 @@ class TestRaceSimulation:
         )
         est = simulate_race(s, [55.0], SimConfig(trials=200_000, seed=7101))[0]
         assert abs(est.mean - exploitable_fraction(s, 55.0)) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("probe", [0.0, 55.0])
+    def test_flat_raw_curve_matches_analytic(self, probe):
+        # growth exponent 0 on the raw curve: 0**0 is 1, as in
+        # exploit_availability, so the curve starts at its amplitude on day 0
+        # and then decays; seed 7102 was fixed before the first run
+        s = PatchRaceScenario(exploit=ExploitCurveParams(amplitude=0.2, growth_exponent=0.0))
+        est = simulate_race(s, [probe], SimConfig(trials=200_000, seed=7102))[0]
+        assert est.mean > 0.0
+        assert abs(est.mean - exploitable_fraction(s, probe)) <= 4 * est.std_error
+
+    @pytest.mark.parametrize(
+        "dev, seed",
+        [(WeibullParams(0.57, 18.2), 4411), (WeibullParams(2.0, 60.0), 4412)],
+        ids=["baseline", "k=2-lambda=60"],
+    )
+    def test_raw_curve_past_its_peak_matches_analytic(self, dev, seed):
+        # the raw curve peaks on day 441.8 and then declines; the threshold
+        # test samples it on every day. Seeds 4411 and 4412 were fixed before
+        # the first run.
+        s = PatchRaceScenario(dev=dev)
+        probes = [441.0, 600.0, 729.0]
+        ests = simulate_race(s, probes, SimConfig(trials=400_000, seed=seed))
+        for probe, est in zip(probes, ests):
+            assert abs(exploitable_fraction(s, probe) - est.mean) <= 4 * est.std_error, probe
 
     def test_negative_probe_rejected(self):
         with pytest.raises(ValueError, match=r"^probe time must be >= 0, got -5\.0$"):
