@@ -80,6 +80,13 @@ CASES = [
      {"k.scn": "[patchrace]\nk = 1000\n"}),
     ("runtime-warning-overflow", ["vulndisc", "--weeks", "5", "--scenario", "c.scn"],
      {"c.scn": "[vulndisc]\nc = 1e308\n"}),
+    # extreme but valid race inputs: stderr stays empty, or the peak-value rule exits 1
+    ("patchrace-power-overflow", ["patchrace", "--scenario", "k.scn"],
+     {"k.scn": "[patchrace]\nk = 1000\n"}),
+    ("peak-value-overflow", ["patchrace", "--summary", "--scenario", "p.scn"],
+     {"p.scn": "[patchrace]\nA = 1e-300\na = 100\nb = 1e-5\n"}),
+    ("simulate-race-peak-value-overflow", [*SIM, "--kind", "race", "--scenario", "p.scn"],
+     {"p.scn": "[patchrace]\nA = 1e-300\na = 100\nb = 1e-5\n"}),
     # validation errors: exit 1
     ("no-subcommand", [], {}),
     ("unknown-subcommand", ["explode"], {}),

@@ -2,7 +2,9 @@
 """Run the 20-case Monte Carlo oracle suite and print an agreement table.
 
 Each case pairs an analytic value with its independently simulated estimate;
-agreement means the analytic value lies within 4 standard errors.
+agreement means the analytic value lies within 4 standard errors. Each row's
+resolution, 4 SE as a percentage of |analytic| ("-" when the analytic value is
+0), is the smallest relative error that the row could detect.
 """
 
 import argparse
@@ -28,10 +30,13 @@ def main() -> int:
             if r.estimate.std_error > 0
             else 0.0
         )
+        resolution = (
+            f"{400 * r.estimate.std_error / abs(r.analytic):.2f}%" if r.analytic != 0 else "-"
+        )
         print(
             f"{(r.case + ' ' + r.quantity).ljust(width)}  "
             f"analytic={r.analytic:.6f}  mc={r.estimate.mean:.6f} "
-            f"(se {r.estimate.std_error:.2e}, {sigma:4.2f} sigma)  "
+            f"(se {r.estimate.std_error:.2e}, {sigma:4.2f} sigma, resolution {resolution})  "
             f"{'ok' if ok else 'DISAGREES'}"
         )
     cases = len({r.case for r in rows})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,11 +114,11 @@ def _cmd_vulndisc(args) -> CurveSeries:
 def _cmd_patchrace(args):
     scn = resolve_scenario(args.scenario)
     if args.summary:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            s = patchrace.race_summary(scn.race)
-        for w in caught:
-            print(f"notice: {w.message}", file=sys.stderr)
+        s = patchrace.race_summary(scn.race)
+        step = scn.race.grid.step
+        if step > 1.0:
+            print(f"notice: grid step {step} days is coarse; the peak is only located "
+                  "to grid resolution", file=sys.stderr)
         return (
             ["peak_time_days", "peak_fraction", "fraction_at_1yr"],
             [[s.peak_time, s.peak_fraction, s.fraction_at_1yr]],

@@ -19,7 +19,6 @@ Time is measured in days throughout this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +81,16 @@ class ExploitCurveParams:
     def peak_value(self) -> float:
         if self.amplitude == 0:
             return 0.0
-        if self.peak_time == math.inf:
+        t, a = self.peak_time, self.growth_exponent
+        if t == math.inf:
             return math.inf
-        return (
-            self.amplitude
-            * self.peak_time**self.growth_exponent
-            * math.exp(-self.growth_exponent)
-        )
+        try:
+            return self.amplitude * t**a * math.exp(-a)
+        except OverflowError:  # t**a alone overflows; the peak may not
+            try:
+                return self.amplitude * math.exp(a * (math.log(t) - 1.0))
+            except OverflowError:
+                return math.inf
 
 
 DEFAULT_GRID = Grid(0.0, 730.0, 0.25)
@@ -150,7 +152,8 @@ def patch_developed_cdf(p: WeibullParams, t):
     """Fraction of post-disclosure patches developed within t days (t a float
     or an array)."""
     check("t", t, "must be >= 0")
-    return -np.expm1(-((t / p.scale_days) ** p.shape))
+    with np.errstate(over="ignore"):  # an overflow to inf gives a CDF of exactly 1
+        return -np.expm1(-((t / p.scale_days) ** p.shape))
 
 
 def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t):
@@ -263,16 +266,10 @@ def race_sweep(s: PatchRaceScenario) -> CurveSeries:
 
 
 def race_summary(s: PatchRaceScenario) -> RaceSummary:
-    """Peak exploitable fraction (at grid resolution, day 365 included) and
-    the 365-day value."""
+    """Peak exploitable fraction and the 365-day value. The peak is searched
+    over the grid nodes plus day 365, so it is located to grid resolution."""
     if s.grid.last_node < 365:
         raise ValueError("race summary needs a grid covering [0, 365] days")
-    if s.grid.step > 1.0:
-        warnings.warn(
-            f"grid step {s.grid.step} days is coarse; the peak is only located "
-            "to grid resolution",
-            stacklevel=2,
-        )
     # day 365 joins the peak search, so the peak dominates the 1-year value
     # even when 365 falls between grid nodes
     nodes = s.grid.nodes()

@@ -129,16 +129,44 @@ class TestPatchraceCommand:
         scn.write_text("[patchrace]\ngrid_step_days = 2\n", encoding="utf-8")
         code, out, err = run_cli(["patchrace", "--summary", "--scenario", str(scn)], capsys)
         assert code == 0
-        assert err.startswith("notice: ") and "coarse" in err
-        assert len(err.splitlines()) == 1
-        with pytest.warns(UserWarning, match="coarse"):
-            s = patchrace.race_summary(resolve_scenario(str(scn)).race)
+        assert err == (
+            "notice: grid step 2.0 days is coarse; the peak is only located to grid resolution\n"
+        )
+        s = patchrace.race_summary(resolve_scenario(str(scn)).race)
         assert out == rows_to_csv(
             ["peak_time_days", "peak_fraction", "fraction_at_1yr"],
             [[s.peak_time, s.peak_fraction, s.fraction_at_1yr]],
         )
         code, _, err = run_cli(["patchrace", "--summary"], capsys)
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("summary", [[], ["--summary"]], ids=["sweep", "summary"])
+    def test_development_cdf_overflowing_to_1_prints_nothing_on_stderr(
+            self, summary, tmp_path, capsys):
+        # (t / 18.2)**1000 overflows to inf past day 37, where the CDF is exactly 1
+        scn = tmp_path / "k.scn"
+        scn.write_text("[patchrace]\nk = 1000\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["patchrace", *summary, "--scenario", str(scn)], capsys)
+        assert (code, err) == (0, "")
+        if not summary:
+            header, body = parse_csv(out)
+            assert body[-1][header.index("patch_dev_cdf")] == 1.0
+
+    @pytest.mark.parametrize("command", [
+        ["patchrace", "--summary"],
+        ["simulate", "--kind", "race", "--trials", "100"],
+    ], ids=["patchrace", "simulate"])
+    def test_overflowing_peak_value_exits_1(self, command, tmp_path, capsys):
+        scn = tmp_path / "peak.scn"
+        scn.write_text("[patchrace]\nA = 1e-300\na = 100\nb = 1e-5\n", encoding="utf-8")
+        code, out, err = run_cli([*command, "--scenario", str(scn)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {scn}: exploit curve peak value inf is outside [0, 1]; "
+            "availability must stay a probability\n"
+        )
 
     @pytest.mark.parametrize("summary", [[], ["--summary"]], ids=["sweep", "summary"])
     def test_grid_of_too_many_nodes_exits_1_naming_the_file(self, summary, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ class TestTypes:
             flat = ExploitCurveParams(amplitude=0.7, growth_exponent=0.0, decay_per_day=decay)
             assert flat.peak_time == 0.0
             assert flat.peak_value == 0.7
+
+    def test_peak_value_where_the_power_overflows(self):
+        # peak_time**growth_exponent overflows in both; only the second peak does
+        assert ExploitCurveParams(0.5, 800.0, 800.0 / math.e).peak_value == 0.5
+        with pytest.raises(ValueError, match=r"^exploit curve peak value inf is outside"):
+            ExploitCurveParams(1e-300, 100.0, 1e-5)
 
     def test_scenario_validation(self):
         with pytest.raises(
@@ -336,6 +343,9 @@ class TestSweepAndSummary:
         assert summary.peak_time == 365.0
         assert summary.peak_fraction == summary.fraction_at_1yr == at_1yr
 
-    def test_coarse_grid_warns(self):
-        with pytest.warns(UserWarning, match="coarse"):
-            race_summary(PatchRaceScenario(grid=Grid(0.0, 730.0, 2.0)))
+    def test_coarse_grid_summary_raises_no_warning(self):
+        # the coarse-grid notice is the CLI's; the summary itself stays pure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = race_summary(PatchRaceScenario(grid=Grid(0.0, 730.0, 2.0)))
+        assert s.peak_time == 54.0
