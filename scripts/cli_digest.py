@@ -95,6 +95,9 @@ CASES = [
     ("bad-int", ["phishing", "--sweep", "x"], {}),
     ("sweep-0", ["phishing", "--sweep", "0"], {}),
     ("weeks-0", ["vulndisc", "--weeks", "0"], {}),
+    # a bad scenario is reported before a bad range flag, by every subcommand
+    ("sweep-0-bad-scenario", ["phishing", "--sweep", "0", "--scenario", "nope.scn"], {}),
+    ("weeks-0-bad-scenario", ["vulndisc", "--weeks", "0", "--scenario", "nope.scn"], {}),
     ("trials-0", ["simulate", "--kind", "phishing", "--trials", "0"], {}),
     ("workers-0", [*SIM, "--kind", "phishing", "--workers", "0"], {}),
     ("seed-negative", [*SIM, "--kind", "phishing", "--seed", "-1"], {}),

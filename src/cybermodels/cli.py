@@ -1,11 +1,13 @@
 """Scenario-driven command line emitting CSV plot data.
 
-Subcommands: phishing, vulndisc, patchrace, fit, simulate, figures. Each
-handler returns a table (a CurveSeries or a (header, rows) pair; ``figures`` a
-mapping of figure name to CurveSeries for the toolkit's standard figure
-datasets), and ``main`` alone formats and writes it: CSV (header row, 12
-significant digits, LF line endings) to --out or standard output, or one CSV
-per figure into the --out directory.
+Subcommands: phishing, vulndisc, patchrace, fit, simulate, figures. ``main``
+alone resolves the scenario (--scenario, or the baseline defaults; ``figures``
+always reads the baseline) and passes it to the handler. Each handler returns
+a table (a CurveSeries or a (header, rows) pair; ``figures`` a mapping of
+figure name to CurveSeries for the toolkit's standard figure datasets), and
+``main`` alone formats and writes it: CSV (header row, 12 significant digits,
+LF line endings) to --out or standard output, or one CSV per figure into the
+--out directory.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
@@ -91,28 +93,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, help="override scenario worker count")
 
     p = sub.add_parser("figures", help="regenerate every bundled figure dataset")
-    p.set_defaults(run=_cmd_figures)
+    p.set_defaults(run=_cmd_figures, scenario=None)
     p.add_argument("--out", default="figures", help="output directory (default ./figures)")
 
     return parser
 
 
-def _cmd_phishing(args) -> CurveSeries:
+def _cmd_phishing(args, scn) -> CurveSeries:
     check("--sweep", args.sweep, "must be >= 1")
-    scn = resolve_scenario(args.scenario)
     return phishing.campaign_sweep(scn.phishing, args.sweep)
 
 
-def _cmd_vulndisc(args) -> CurveSeries:
+def _cmd_vulndisc(args, scn) -> CurveSeries:
     check("--weeks", args.weeks, "must be >= 1")
-    scn = resolve_scenario(args.scenario)
     series = vulndisc.weekly_series(scn.tester, args.weeks)
     cumulative = np.cumsum(series.column("discoveries"))
     return CurveSeries({**series.columns, "cumulative": cumulative}, series.x_label)
 
 
-def _cmd_patchrace(args):
-    scn = resolve_scenario(args.scenario)
+def _cmd_patchrace(args, scn):
     if args.summary:
         s = patchrace.race_summary(scn.race)
         step = scn.race.grid.step
@@ -126,8 +125,7 @@ def _cmd_patchrace(args):
     return patchrace.race_sweep(scn.race)
 
 
-def _cmd_fit(args):
-    scn = resolve_scenario(args.scenario)
+def _cmd_fit(args, scn):
     if args.kind == "weibull":
         samples = calibration.read_cdf_samples(args.data)
         fit = calibration.fit_weibull_cdf(samples)
@@ -150,15 +148,9 @@ def _cmd_fit(args):
     )
 
 
-def _cmd_simulate(args):
-    scn = resolve_scenario(args.scenario)
-    cfg = scn.sim
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
+def _cmd_simulate(args, scn):
+    flags = {"trials": args.trials, "seed": args.seed, "workers": args.workers}
+    cfg = replace(scn.sim, **{name: value for name, value in flags.items() if value is not None})
 
     meta = [cfg.trials, cfg.seed, RNG_ALGORITHM]
     if args.kind == "phishing":
@@ -293,10 +285,9 @@ FIGURES = {
 }
 
 
-def _cmd_figures(args) -> dict[str, CurveSeries]:
-    race = resolve_scenario(None).race
-    sweep = patchrace.race_sweep(race)
-    return {name: build(race, sweep) for name, build in FIGURES.items()}
+def _cmd_figures(args, scn) -> dict[str, CurveSeries]:
+    sweep = patchrace.race_sweep(scn.race)
+    return {name: build(scn.race, sweep) for name, build in FIGURES.items()}
 
 
 # The flags of type _finite. argparse reads a value such as -inf or -1e5 as an
@@ -335,7 +326,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(_join_number_flags(sys.argv[1:] if argv is None else argv))
-        result = args.run(args)
+        result = args.run(args, resolve_scenario(args.scenario))
         if isinstance(result, dict):  # figures: one CSV per table into a directory
             Path(args.out).mkdir(parents=True, exist_ok=True)
             for name, series in result.items():

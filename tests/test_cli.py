@@ -453,6 +453,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {scn}: line 2: key '{key}': '{raw}' is not finite\n"
 
+    @pytest.mark.parametrize("args", [
+        ["phishing", "--sweep", "0"],
+        ["vulndisc", "--weeks", "0"],
+        ["simulate", "--kind", "phishing", "--trials", "0"],
+        ["fit", "--kind", "weibull", "--data", "nope.csv"],
+    ], ids=["sweep-0", "weeks-0", "trials-0", "missing-data"])
+    def test_bad_scenario_is_reported_before_any_other_input(self, args, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([*args, "--scenario", "nope.scn"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: scenario file not found: nope.scn")
+
+    def test_figures_takes_no_scenario_flag(self, capsys):
+        code, out, err = run_cli(["figures", "--scenario", "baseline.scn"], capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --scenario" in err
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run_cli(["explode"], capsys)
         assert code == 1
