@@ -30,6 +30,7 @@ from pathlib import Path
 
 DATA = "{data}"  # the checkout's data directory
 SIM = ["simulate", "--trials", "2000"]
+POWER_OVERFLOW = "[patchrace]\nA = 0.5\na = 800\nb = 294.3035529371539\n"  # b = 800 / e
 
 # (id, CLI arguments, input files written into the working directory first)
 CASES = [
@@ -83,6 +84,12 @@ CASES = [
     # extreme but valid race inputs: stderr stays empty, or the peak-value rule exits 1
     ("patchrace-power-overflow", ["patchrace", "--scenario", "k.scn"],
      {"k.scn": "[patchrace]\nk = 1000\n"}),
+    # t**800 overflows past day 2.4 on a curve peaking at exactly 0.5: taken in logs
+    ("exploit-power-overflow", ["patchrace", "--scenario", "a.scn"], {"a.scn": POWER_OVERFLOW}),
+    ("exploit-power-overflow-summary", ["patchrace", "--summary", "--scenario", "a.scn"],
+     {"a.scn": POWER_OVERFLOW}),
+    ("simulate-race-exploit-power-overflow", [*SIM, "--kind", "race", "--probe", "2.75",
+                                              "--scenario", "a.scn"], {"a.scn": POWER_OVERFLOW}),
     ("peak-value-overflow", ["patchrace", "--summary", "--scenario", "p.scn"],
      {"p.scn": "[patchrace]\nA = 1e-300\na = 100\nb = 1e-5\n"}),
     ("simulate-race-peak-value-overflow", [*SIM, "--kind", "race", "--scenario", "p.scn"],

@@ -185,109 +185,88 @@ def _columns(x: str, sources: dict[str, CurveSeries], column: str) -> CurveSerie
     return CurveSeries({x: first.column(x), **cols}, x_label=x)
 
 
-def _discoveries(weeks: int) -> CurveSeries:
-    presets = {
-        "human_bug_bounty": "human_bug_bounty.scn",
-        "black_box_fuzzer": "fuzzer.scn",
-        "fast_ai": "fast_ai.scn",
-        "creative_ai": "creative_ai.scn",
-    }
-    return _columns("week", {
-        name: vulndisc.weekly_series(load_preset(preset).tester, weeks)
-        for name, preset in presets.items()
-    }, "discoveries")
-
-
-def _undetected(race, sweep) -> CurveSeries:
-    presets = {
-        "no_ai": "baseline.scn",
-        "ai_writer": "table1_ai_writer.scn",
-        "ai_writer_detector": "table1_ai_writer_detector.scn",
-    }
-    return _columns("n", {
-        name: phishing.campaign_sweep(load_preset(preset).phishing, 200)
-        for name, preset in presets.items()
-    }, "p_undetected")
-
-
-def _dev_refit(race, sweep) -> CurveSeries:
-    samples = calibration.reference_patch_dev_samples()
-    fitted = patchrace.WeibullParams(*calibration.fit_weibull_cdf(samples).params)
-    ts, fractions = np.array([(s.t, s.fraction) for s in samples]).T
-    return CurveSeries(
-        {"t": ts, "fraction": fractions, "fitted_cdf": patchrace.patch_developed_cdf(fitted, ts)},
-        x_label="t",
-    )
-
-
-def _patch_available(race, sweep) -> CurveSeries:
-    ts = np.arange(0.0, 120.5, 0.5)
-    pre = race.pre_disclosure_patch_fraction
-    available = patchrace.patch_developed_all_vulns(race.dev, pre, ts)
-    return CurveSeries({"t": ts, "patch_available_fraction": available}, x_label="t")
-
-
-def _exploit_total(race, sweep) -> CurveSeries:
-    hist = calibration.reference_exploit_histogram()
-    fit = calibration.fit_exploit_total(hist, race.exploit)
-    return CurveSeries({
-        "total_vulnerabilities": [fit.params[0]],
-        "exploited": [hist.total],
-        "implied_unexploited": [calibration.implied_unexploited(fit, hist)],
-        "residual": [fit.residual],
-    }, x_label="total_vulnerabilities")
-
-
-def _exploitable_factors(race, sweep) -> CurveSeries:
-    return CurveSeries({
-        "t": sweep.column("t"),
-        "exploit_availability": sweep.column("exploit_availability"),
-        "unpatched_fraction": 1.0 - sweep.column("patched_fraction"),
-        "exploitable_fraction": sweep.column("exploitable_fraction"),
-    }, x_label="t")
-
-
-# figure name -> builder(baseline race scenario, its race_sweep). Builders
-# reach the model through module attributes at call time, never through
-# function objects bound here, so wrappers installed on them see each call.
-FIGURES = {
-    # undetected-infection curves for the three phishing presets
-    "fig1": _undetected,
-    # weekly discoveries for the four tester presets, 1 and 10 years
-    "fig2a": lambda race, sweep: _discoveries(52),
-    "fig2b": lambda race, sweep: _discoveries(520),
-    # synthetic development-delay reference points and their refit
-    "fig4": _dev_refit,
-    # patch-available fraction over all vulnerabilities
-    "fig5": _patch_available,
-    # development, deployment, and total-delay CDFs
-    "fig6": lambda race, sweep: CurveSeries(
-        {c: sweep.column(c) for c in ("t", "patch_dev_cdf", "patch_dep_cdf", "patched_fraction")},
-        x_label="t",
-    ),
-    # total-vulnerability normalization of the reference exploit-delay histogram
-    "fig7-summary": _exploit_total,
-    # exploitable fraction and its two factors
-    "fig8": _exploitable_factors,
-    # technology-advance contrasts
-    "fig9a": lambda race, sweep: _columns("t", {
-        "baseline": sweep,
-        "instant_patch_dev": patchrace.race_sweep(replace(race, instant_dev=True)),
-        "deploy_5x": patchrace.race_sweep(replace(race, deploy_speedup=5.0)),
-    }, "exploitable_fraction"),
-    "fig9b": lambda race, sweep: _columns("t", {
-        "instant_exploit": patchrace.race_sweep(replace(race, instant_exploit=True)),
-        "instant_exploit_deploy_5x": patchrace.race_sweep(
-            replace(race, instant_exploit=True, deploy_speedup=5.0)),
-        "instant_exploit_instant_dev": patchrace.race_sweep(
-            replace(race, instant_exploit=True, instant_dev=True)),
-    }, "exploitable_fraction"),
-}
-
-
 def _cmd_figures(args, scn) -> dict[str, CurveSeries]:
-    sweep = patchrace.race_sweep(scn.race)
-    return {name: build(scn.race, sweep) for name, build in FIGURES.items()}
+    # The model is reached through module attributes at call time, never
+    # through function objects bound here, so wrappers installed on them see
+    # each call.
+    race = scn.race
+    sweep = patchrace.race_sweep(race)
+    phishing_presets = {
+        "no_ai": load_preset("baseline.scn").phishing,
+        "ai_writer": load_preset("table1_ai_writer.scn").phishing,
+        "ai_writer_detector": load_preset("table1_ai_writer_detector.scn").phishing,
+    }
+    testers = {
+        "human_bug_bounty": load_preset("human_bug_bounty.scn").tester,
+        "black_box_fuzzer": load_preset("fuzzer.scn").tester,
+        "fast_ai": load_preset("fast_ai.scn").tester,
+        "creative_ai": load_preset("creative_ai.scn").tester,
+    }
+    samples = calibration.reference_patch_dev_samples()
+    refit = patchrace.WeibullParams(*calibration.fit_weibull_cdf(samples).params)
+    sample_ts, sample_fractions = np.array([(s.t, s.fraction) for s in samples]).T
+    hist = calibration.reference_exploit_histogram()
+    total = calibration.fit_exploit_total(hist, race.exploit)
+    dev_ts = np.arange(0.0, 120.5, 0.5)
+
+    def discoveries(weeks):
+        return _columns("week", {
+            name: vulndisc.weekly_series(tester, weeks) for name, tester in testers.items()
+        }, "discoveries")
+
+    return {
+        # undetected-infection curves for the three phishing presets
+        "fig1": _columns("n", {
+            name: phishing.campaign_sweep(params, 200)
+            for name, params in phishing_presets.items()
+        }, "p_undetected"),
+        # weekly discoveries for the four tester presets, 1 and 10 years
+        "fig2a": discoveries(52),
+        "fig2b": discoveries(520),
+        # synthetic development-delay reference points and their refit
+        "fig4": CurveSeries({
+            "t": sample_ts,
+            "fraction": sample_fractions,
+            "fitted_cdf": patchrace.patch_developed_cdf(refit, sample_ts),
+        }, x_label="t"),
+        # patch-available fraction over all vulnerabilities
+        "fig5": CurveSeries({
+            "t": dev_ts,
+            "patch_available_fraction": patchrace.patch_developed_all_vulns(
+                race.dev, race.pre_disclosure_patch_fraction, dev_ts),
+        }, x_label="t"),
+        # development, deployment, and total-delay CDFs
+        "fig6": CurveSeries({
+            c: sweep.column(c) for c in ("t", "patch_dev_cdf", "patch_dep_cdf", "patched_fraction")
+        }, x_label="t"),
+        # total-vulnerability normalization of the reference exploit-delay histogram
+        "fig7-summary": CurveSeries({
+            "total_vulnerabilities": [total.params[0]],
+            "exploited": [hist.total],
+            "implied_unexploited": [calibration.implied_unexploited(total, hist)],
+            "residual": [total.residual],
+        }, x_label="total_vulnerabilities"),
+        # exploitable fraction and its two factors
+        "fig8": CurveSeries({
+            "t": sweep.column("t"),
+            "exploit_availability": sweep.column("exploit_availability"),
+            "unpatched_fraction": 1.0 - sweep.column("patched_fraction"),
+            "exploitable_fraction": sweep.column("exploitable_fraction"),
+        }, x_label="t"),
+        # technology-advance contrasts
+        "fig9a": _columns("t", {
+            "baseline": sweep,
+            "instant_patch_dev": patchrace.race_sweep(replace(race, instant_dev=True)),
+            "deploy_5x": patchrace.race_sweep(replace(race, deploy_speedup=5.0)),
+        }, "exploitable_fraction"),
+        "fig9b": _columns("t", {
+            "instant_exploit": patchrace.race_sweep(replace(race, instant_exploit=True)),
+            "instant_exploit_deploy_5x": patchrace.race_sweep(
+                replace(race, instant_exploit=True, deploy_speedup=5.0)),
+            "instant_exploit_instant_dev": patchrace.race_sweep(
+                replace(race, instant_exploit=True, instant_dev=True)),
+        }, "exploitable_fraction"),
+    }
 
 
 # The flags of type _finite. argparse reads a value such as -inf or -1e5 as an

@@ -167,9 +167,14 @@ def simulate_race(
     check("probe time", probes, "must be >= 0")
     e = s.exploit
     days = np.minimum(probes, e.peak_time) if e.clamp_monotone else np.array(probes)
-    # A(t) by the oracle's own formula; np.power makes 0**0 = 1, as in patchrace
+    # A(t) by the oracle's own formula; np.power makes 0**0 = 1, as in patchrace,
+    # and where days**a overflows (inf * 0 = nan) A(t) is taken in logs
+    a, b = e.growth_exponent, e.decay_per_day
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        power_form = e.amplitude * np.power(days, a) * np.exp(-b * days)
+        log_form = np.exp(np.log(e.amplitude) + a * np.log(days) - b * days)
     availability = np.ones_like(days) if s.instant_exploit else (
-        e.amplitude * np.power(days, e.growth_exponent) * np.exp(-e.decay_per_day * days))
+        np.where(np.isfinite(power_form), power_form, log_form))
     rate = s.effective_deploy_rate
     inv_shape = 1.0 / s.dev.shape
     scale = s.dev.scale_days

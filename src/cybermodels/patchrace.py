@@ -225,13 +225,18 @@ def exploit_availability(e: ExploitCurveParams, t):
     """Fraction of vulnerabilities with a working exploit by day t (t a float
     or an array)."""
     check("t", t, "must be >= 0")
-    # np.power, not **: a float gets the same bits as an array element. The
-    # curve never exceeds peak_value, but near the peak it can by an ulp, as
-    # peak_value is computed with ** and math.exp; np.minimum passes NaN on.
-    value = np.minimum(
-        e.amplitude * np.power(t, e.growth_exponent) * np.exp(-e.decay_per_day * t),
-        e.peak_value,
-    )
+    a, b = e.growth_exponent, e.decay_per_day
+    # np.power, not **: a float gets the same bits as an array element. Where
+    # t**a overflows (inf * 0 = nan), the same curve is taken in logs, with
+    # log A inside so that a zero amplitude still gives 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = e.amplitude * np.power(t, a) * np.exp(-b * t)
+        if not np.isfinite(value).all():
+            logs = np.exp(np.log(e.amplitude) + a * np.log(t) - b * t)
+            value = np.where(np.isfinite(value), value, logs)
+    # The curve never exceeds peak_value, but near the peak it can by an ulp,
+    # as peak_value is computed with ** and math.exp; np.minimum passes NaN on.
+    value = np.minimum(value, e.peak_value)
     if e.clamp_monotone:
         value = np.where(t > e.peak_time, e.peak_value, value)[()]
     raise_at_first(

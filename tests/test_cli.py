@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 from pathlib import Path
 
@@ -7,11 +8,15 @@ import numpy as np
 import pytest
 
 from cybermodels import cli, patchrace
-from cybermodels.cli import FIGURES, main
+from cybermodels.cli import main
 from cybermodels.scenario import resolve_scenario
 from cybermodels.series import rows_to_csv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# the committed golden files, not the CLI, say which figures exist
+FIGURE_NAMES = sorted(
+    path.stem for path in (Path(__file__).resolve().parent / "golden" / "figures").glob("*.csv")
+)
 
 # columns that hold counts/axes rather than probabilities, per figure CSV
 NON_PROBABILITY_COLUMNS = {
@@ -153,6 +158,20 @@ class TestPatchraceCommand:
         if not summary:
             header, body = parse_csv(out)
             assert body[-1][header.index("patch_dev_cdf")] == 1.0
+
+    @pytest.mark.parametrize("summary", [[], ["--summary"]], ids=["sweep", "summary"])
+    def test_exploit_curve_whose_power_overflows_prints_nothing_on_stderr(
+            self, summary, tmp_path, capsys):
+        # peak exactly 0.5 on day 2.72; t**800 overflows past day 2.4
+        scn = tmp_path / "a.scn"
+        scn.write_text(f"[patchrace]\nA = 0.5\na = 800\nb = {800 / math.e!r}\n",
+                       encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["patchrace", *summary, "--scenario", str(scn)], capsys)
+        assert (code, err) == (0, "")
+        if summary:
+            assert parse_csv(out)[1][0][0] == 2.75
 
     @pytest.mark.parametrize("command", [
         ["patchrace", "--summary"],
@@ -351,13 +370,13 @@ class TestSimulateCommand:
 
 class TestFiguresCommand:
     def test_all_figure_files_exist(self, figures_dir):
-        for name in FIGURES:
+        for name in FIGURE_NAMES:
             path = figures_dir / f"{name}.csv"
             assert path.is_file(), name
             assert path.stat().st_size > 0, name
 
     def test_probability_columns_in_unit_interval(self, figures_dir):
-        for name in FIGURES:
+        for name in FIGURE_NAMES:
             text = (figures_dir / f"{name}.csv").read_text(encoding="utf-8")
             header, body = parse_csv(text)
             assert body, name
@@ -389,10 +408,23 @@ class TestFiguresCommand:
         # the baseline sweep, shared by fig6, fig8 and fig9a, plus five variants
         assert len(calls) == 6
 
+    def test_one_run_parses_each_bundled_preset_once(self, tmp_path, monkeypatch):
+        names = []
+        load = cli.load_preset
+
+        def counting_load(name):
+            names.append(name)
+            return load(name)
+
+        monkeypatch.setattr(cli, "load_preset", counting_load)
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        # three phishing presets for fig1, four tester presets shared by fig2a and fig2b
+        assert len(names) == len(set(names)) == 7
+
     def test_repeat_run_byte_identical(self, figures_dir, tmp_path):
         again = tmp_path / "figs2"
         assert main(["figures", "--out", str(again)]) == 0
-        for name in FIGURES:
+        for name in FIGURE_NAMES:
             assert (again / f"{name}.csv").read_bytes() == (
                 figures_dir / f"{name}.csv"
             ).read_bytes(), name
@@ -404,7 +436,7 @@ class TestFiguresCommand:
         (tmp_path / "baseline.scn").write_text("[phishing]\np_click = 0.9\n", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         assert main(["figures", "--out", "figs"]) == 0
-        for name in FIGURES:
+        for name in FIGURE_NAMES:
             assert (tmp_path / "figs" / f"{name}.csv").read_bytes() == (
                 figures_dir / f"{name}.csv"
             ).read_bytes(), name

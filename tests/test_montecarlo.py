@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,15 @@ class TestRaceSimulation:
         ests = simulate_race(s, probes, SimConfig(trials=400_000, seed=seed))
         for probe, est in zip(probes, ests):
             assert abs(exploitable_fraction(s, probe) - est.mean) <= 4 * est.std_error, probe
+
+    def test_curve_where_the_power_overflows_matches_analytic(self):
+        # t**800 overflows past day 2.4, so A(2.75) is taken in logs; seed 3301
+        # was fixed before the first run
+        s = PatchRaceScenario(exploit=ExploitCurveParams(0.5, 800.0, 800.0 / math.e))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_race(s, [2.75], SimConfig(trials=200_000, seed=3301))[0]
+        assert abs(est.mean - exploitable_fraction(s, 2.75)) <= 4 * est.std_error
 
     def test_negative_probe_rejected(self):
         with pytest.raises(ValueError, match=r"^probe time must be >= 0, got -5\.0$"):

@@ -274,6 +274,35 @@ class TestExploitAvailability:
         assert e.peak_value == 0.0
         assert np.all(exploit_availability(e, np.array([0.0, 1.0, 1e9])) == 0.0)
 
+    @pytest.mark.parametrize("curve, ts", [
+        # peak exactly 0.5 on day 2.72; t**800 overflows past day 2.4, and on
+        # the default grid inf * exp(-294 t) was nan from day 2.5
+        ((0.5, 800.0, 800.0 / math.e), DEFAULT_GRID.nodes()),
+        # t**2 overflows at t = 1e200, where the curve is about 0
+        ((0.01, 2.0, 0.1), np.array([0.0, 55.0, 1e150, 1e200, 1e300])),
+        # a zero amplitude without decay: 0 * t**800 was 0 * inf = nan past day 2.4
+        ((0.0, 800.0, 0.0), DEFAULT_GRID.nodes()),
+    ], ids=["a-800-default-grid", "t-1e200", "zero-amplitude-a-800"])
+    def test_curve_where_the_power_overflows_is_taken_in_logs(self, curve, ts):
+        amplitude, a, b = curve
+        e = ExploitCurveParams(*curve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = exploit_availability(e, ts)
+            scalars = [exploit_availability(e, t) for t in ts[-3:]]
+        assert np.all(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
+        assert np.array_equal(values[-3:], scalars)
+        with np.errstate(divide="ignore"):
+            logs = np.exp(np.log(amplitude) + a * np.log(ts) - b * ts)
+        # cells below the smallest normal float are compared absolutely
+        np.testing.assert_allclose(values, logs, rtol=1e-12, atol=np.finfo(float).tiny)
+
+    def test_default_curve_keeps_the_plain_product_bits(self):
+        e = ExploitCurveParams()
+        ts = DEFAULT_GRID.nodes()
+        plain = e.amplitude * np.power(ts, e.growth_exponent) * np.exp(-e.decay_per_day * ts)
+        assert np.array_equal(exploit_availability(e, ts), plain)
+
 
 class TestExploitableFraction:
     def test_headline_peak(self):
