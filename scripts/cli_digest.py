@@ -5,10 +5,8 @@ Each case runs ``python -m cybermodels.cli <args>`` as a subprocess with
 ``PYTHONPATH=<checkout>/src``, in a fresh working directory that holds only
 the case's input files. One line per case gives its id, its exit code, and
 the first 16 hex digits of the sha256 of stdout, of stderr and of each file
-the case wrote. The checkout root is replaced by ``<checkout>`` in stderr
-before hashing (numpy's warnings name their source file), and every other
-path a case uses is relative to its working directory, so two checkouts with
-the same behaviour print the same lines:
+the case wrote. Every path a case uses is relative to its working directory,
+so two checkouts with the same behaviour print the same lines:
 
     python scripts/cli_digest.py /path/to/parent > parent.txt
     python scripts/cli_digest.py > change.txt      # this checkout
@@ -31,6 +29,7 @@ from pathlib import Path
 DATA = "{data}"  # the checkout's data directory
 SIM = ["simulate", "--trials", "2000"]
 POWER_OVERFLOW = "[patchrace]\nA = 0.5\na = 800\nb = 294.3035529371539\n"  # b = 800 / e
+TINY_DEPLOY_RATE = "[patchrace]\nbeta_per_day = 5e-324\n"
 
 # (id, CLI arguments, input files written into the working directory first)
 CASES = [
@@ -79,8 +78,20 @@ CASES = [
     ("notice-forced-clamp", [*SIM, "--kind", "race"], {}),
     ("notice-power-overflow", ["patchrace", "--summary", "--scenario", "k.scn"],
      {"k.scn": "[patchrace]\nk = 1000\n"}),
+    # cumulative discoveries pass the float range at week 2: exit 1 naming the week and c
     ("runtime-warning-overflow", ["vulndisc", "--weeks", "5", "--scenario", "c.scn"],
      {"c.scn": "[vulndisc]\nc = 1e308\n"}),
+    ("vulndisc-huge-rate-one-week", ["vulndisc", "--weeks", "1", "--scenario", "c.scn"],
+     {"c.scn": "[vulndisc]\nc = 1e308\n"}),
+    # the deployment rate times the grid step rounds to 0; delays that overflow to inf
+    ("patchrace-tiny-deploy-rate", ["patchrace", "--scenario", "beta.scn"],
+     {"beta.scn": TINY_DEPLOY_RATE}),
+    ("patchrace-tiny-deploy-rate-summary", ["patchrace", "--summary", "--scenario", "beta.scn"],
+     {"beta.scn": TINY_DEPLOY_RATE}),
+    ("simulate-race-tiny-deploy-rate", [*SIM, "--kind", "race", "--scenario", "beta.scn"],
+     {"beta.scn": TINY_DEPLOY_RATE}),
+    ("simulate-race-tiny-shape", [*SIM, "--kind", "race", "--scenario", "k.scn"],
+     {"k.scn": "[patchrace]\nk = 1e-6\n"}),
     # extreme but valid race inputs: stderr stays empty, or the peak-value rule exits 1
     ("patchrace-power-overflow", ["patchrace", "--scenario", "k.scn"],
      {"k.scn": "[patchrace]\nk = 1000\n"}),
@@ -155,7 +166,6 @@ def run_case(checkout: Path, args, inputs, workdir: Path) -> str:
     argv = [a.replace(DATA, str(checkout / "data")) for a in args]
     proc = subprocess.run([sys.executable, "-m", "cybermodels.cli", *argv], cwd=workdir,
                           env=env, capture_output=True, timeout=300)
-    stderr = proc.stderr.replace(str(checkout).encode(), b"<checkout>")
     written = sorted(
         p for p in workdir.rglob("*") if p.is_file() and p.name not in inputs
     )
@@ -163,7 +173,7 @@ def run_case(checkout: Path, args, inputs, workdir: Path) -> str:
         f"{p.relative_to(workdir).as_posix()}:{_digest(p.read_bytes())}" for p in written
     )
     return (f"exit={proc.returncode} stdout={_digest(proc.stdout)} "
-            f"stderr={_digest(stderr)} files={files or '-'}")
+            f"stderr={_digest(proc.stderr)} files={files or '-'}")
 
 
 def main() -> int:

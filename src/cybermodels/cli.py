@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calibration, montecarlo, patchrace, phishing, vulndisc
 from .montecarlo import RNG_ALGORITHM
-from .numerics import check, finite_float
+from .numerics import check, finite_float, raise_at_first
 from .scenario import load_preset, resolve_scenario
 from .series import CurveSeries, rows_to_csv, write_text
 
@@ -107,7 +107,12 @@ def _cmd_phishing(args, scn) -> CurveSeries:
 def _cmd_vulndisc(args, scn) -> CurveSeries:
     check("--weeks", args.weeks, "must be >= 1")
     series = vulndisc.weekly_series(scn.tester, args.weeks)
-    cumulative = np.cumsum(series.column("discoveries"))
+    with np.errstate(over="ignore"):  # reported below, naming the week
+        cumulative = np.cumsum(series.column("discoveries"))
+    raise_at_first(~np.isfinite(cumulative),
+                   "{scenario}: cumulative discoveries pass the float range at week {week:g}; "
+                   "c = {c} is too large", scenario=args.scenario, week=series.column("week"),
+                   c=scn.tester.initial_rate)
     return CurveSeries({**series.columns, "cumulative": cumulative}, series.x_label)
 
 
@@ -209,10 +214,9 @@ def _cmd_figures(args, scn) -> dict[str, CurveSeries]:
     total = calibration.fit_exploit_total(hist, race.exploit)
     dev_ts = np.arange(0.0, 120.5, 0.5)
 
-    def discoveries(weeks):
-        return _columns("week", {
-            name: vulndisc.weekly_series(tester, weeks) for name, tester in testers.items()
-        }, "discoveries")
+    ten_years = _columns("week", {
+        name: vulndisc.weekly_series(tester, 520) for name, tester in testers.items()
+    }, "discoveries")
 
     return {
         # undetected-infection curves for the three phishing presets
@@ -220,9 +224,9 @@ def _cmd_figures(args, scn) -> dict[str, CurveSeries]:
             name: phishing.campaign_sweep(params, 200)
             for name, params in phishing_presets.items()
         }, "p_undetected"),
-        # weekly discoveries for the four tester presets, 1 and 10 years
-        "fig2a": discoveries(52),
-        "fig2b": discoveries(520),
+        # weekly discoveries for the four tester presets: the first year, and 10 years
+        "fig2a": CurveSeries({c: v[:52] for c, v in ten_years.columns.items()}, "week"),
+        "fig2b": ten_years,
         # synthetic development-delay reference points and their refit
         "fig4": CurveSeries({
             "t": sample_ts,

@@ -183,11 +183,13 @@ def simulate_race(
         u_dev = rng.random(size)
         u_dep = rng.random(size)
         u_exp = rng.random(size)
-        if s.instant_dev:
-            dev = np.zeros(size)
-        else:
-            dev = scale * (-np.log1p(-u_dev)) ** inv_shape
-        dep = -np.log1p(-u_dep) / rate
+        # a delay that overflows to inf is exact here: unpatched past every probe
+        with np.errstate(over="ignore"):
+            if s.instant_dev:
+                dev = np.zeros(size)
+            else:
+                dev = scale * (-np.log1p(-u_dev)) ** inv_shape
+            dep = -np.log1p(-u_dep) / rate
         unpatched_until = dev + dep
         return tuple(
             int(((u_exp < a) & (unpatched_until > t)).sum())

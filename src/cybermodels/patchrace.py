@@ -200,7 +200,7 @@ def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
     terms = np.stack([-math.expm1(-rh) * cdf - math.expm1(-rh / 2) * mass,
                       math.exp(-rh / 2) * mass])[:, :-1]
     sums, n = np.zeros((2, nodes.size)), nodes.size - 1
-    block = max(1, int(min(n, 600.0 / rh)))
+    block = max(1, int(min(n, 600.0 / rh)) if rh > 0 else n)  # rh = 0: nothing grows
     for i in range(0, n, block):
         e = rh * np.arange(min(block, n - i))
         grown = np.cumsum(terms[:, i : i + e.size] * np.exp(e), axis=1)

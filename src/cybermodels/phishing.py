@@ -71,12 +71,6 @@ def p_undetected(params: PhishingParams, n):
     return p_infection(params, n) * p_no_alert(params, n)
 
 
-def campaign_point(params: PhishingParams, n: int) -> CampaignPoint:
-    inf = float(p_infection(params, n))  # plain floats keep the record's repr readable
-    noal = float(p_no_alert(params, n))
-    return CampaignPoint(n, inf, noal, inf * noal)
-
-
 def optimal_campaign(params: PhishingParams, n_max: int) -> CampaignPoint:
     """Campaign size in [1, n_max] maximizing the undetected-infection odds.
 
@@ -84,8 +78,10 @@ def optimal_campaign(params: PhishingParams, n_max: int) -> CampaignPoint:
     the fifth digit), so hill-climbing with early stopping would be unsafe.
     Ties go to the smallest campaign (the first maximum).
     """
-    undetected = campaign_sweep(params, n_max).column("p_undetected")
-    return campaign_point(params, int(np.argmax(undetected[1:])) + 1)
+    sweep = campaign_sweep(params, n_max)
+    n = int(np.argmax(sweep.column("p_undetected")[1:])) + 1
+    cells = (float(sweep.column(c)[n]) for c in ("p_infection", "p_no_alert", "p_undetected"))
+    return CampaignPoint(n, *cells)  # plain floats keep the record's repr readable
 
 
 def campaign_sweep(params: PhishingParams, n_max: int) -> CurveSeries:

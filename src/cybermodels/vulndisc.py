@@ -69,8 +69,10 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
     c * ln(t2/t1) at alpha = 1. For t1 > 0 it is evaluated as
     c * t1**e * expm1(e * log1p((t2-t1)/t1)) / e with e = 1-alpha, which
     subtracts nothing, so it keeps full precision for alpha > 1 and agrees
-    with the log branch across alpha -> 1; t1 = 0 gives c/e * t2**e. For
-    alpha >= 1 the integral diverges at 0, so t1 must be positive there.
+    with the log branch across alpha -> 1; t1 = 0 gives c/e * t2**e. Where
+    that overflows, c is applied last instead, so a count that fits in a float
+    is returned, and one that does not is inf. For alpha >= 1 the integral
+    diverges at 0, so t1 must be positive there.
     """
     alpha = tester.difficulty_exponent
     c = tester.initial_rate
@@ -84,10 +86,15 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
     positive = np.greater(t1, 0)
     base = np.where(positive, t1, 1.0)  # t1 = 0 entries take the t2**e branch below
     log_ratio = np.log1p((t2 - t1) / base)
-    if alpha == 1.0:
-        return (c * log_ratio)[()]
     e = 1.0 - alpha
-    return np.where(positive, c * base**e * np.expm1(e * log_ratio) / e, c / e * t2**e)[()]
+    with np.errstate(over="ignore"):
+        if alpha == 1.0:
+            return (c * log_ratio)[()]
+        value = np.where(positive, c * base**e * np.expm1(e * log_ratio) / e, c / e * t2**e)
+        if not np.isfinite(value).all():  # c * t1**e overflowed; the count may still fit
+            late = c * np.where(positive, base**e * np.expm1(e * log_ratio) / e, t2**e / e)
+            value = np.where(np.isfinite(value), value, late)
+    return value[()]
 
 
 def convert_attempts_time(eta: AttemptRate, value: float, direction: str) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cybermodels import cli, patchrace
+from cybermodels import cli, patchrace, vulndisc
 from cybermodels.cli import main
 from cybermodels.scenario import resolve_scenario
 from cybermodels.series import rows_to_csv
@@ -103,6 +103,21 @@ class TestVulndiscCommand:
         assert body[2][2] == pytest.approx(body[0][1] + body[1][1] + body[2][1], rel=1e-9)
 
 
+    def test_count_past_the_float_range_exits_1_naming_the_week_and_c(self, tmp_path, capsys):
+        # week 1 holds 1.67e308 and week 2 8.6e307: their sum passes the float range
+        scn = tmp_path / "c.scn"
+        scn.write_text("[vulndisc]\nc = 1e308\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["vulndisc", "--weeks", "5", "--scenario", str(scn)], capsys)
+            assert (code, out) == (1, "")
+            assert err == (f"error: {scn}: cumulative discoveries pass the float range at "
+                           "week 2; c = 1e+308 is too large\n")
+            code, out, err = run_cli(["vulndisc", "--weeks", "1", "--scenario", str(scn)], capsys)
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[1] == [[1.0, 1.66666666667e308, 1.66666666667e308]]
+
+
 class TestPatchraceCommand:
     def test_summary_row(self, capsys):
         code, out, _ = run_cli(["patchrace", "--summary"], capsys)
@@ -172,6 +187,19 @@ class TestPatchraceCommand:
         assert (code, err) == (0, "")
         if summary:
             assert parse_csv(out)[1][0][0] == 2.75
+
+    @pytest.mark.parametrize("summary", [[], ["--summary"]], ids=["sweep", "summary"])
+    def test_deploy_rate_whose_step_product_underflows_prints_nothing_on_stderr(
+            self, summary, tmp_path, capsys):
+        # 5e-324 per day times the 0.25-day step rounds to 0
+        scn = tmp_path / "beta.scn"
+        scn.write_text("[patchrace]\nbeta_per_day = 5e-324\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["patchrace", *summary, "--scenario", str(scn)], capsys)
+        assert (code, err) == (0, "")
+        if summary:
+            assert parse_csv(out)[1][0][0] == 441.75
 
     @pytest.mark.parametrize("command", [
         ["patchrace", "--summary"],
@@ -407,6 +435,19 @@ class TestFiguresCommand:
         assert main(["figures", "--out", str(tmp_path)]) == 0
         # the baseline sweep, shared by fig6, fig8 and fig9a, plus five variants
         assert len(calls) == 6
+
+    def test_one_run_makes_one_weekly_series_per_tester(self, tmp_path, monkeypatch):
+        calls = []
+        weekly = vulndisc.weekly_series
+
+        def counting_weekly(tester, weeks):
+            calls.append(weeks)
+            return weekly(tester, weeks)
+
+        monkeypatch.setattr(vulndisc, "weekly_series", counting_weekly)
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        # fig2a is the first year of fig2b, which covers 520 weeks
+        assert calls == [520] * 4
 
     def test_one_run_parses_each_bundled_preset_once(self, tmp_path, monkeypatch):
         names = []

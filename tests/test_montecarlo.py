@@ -17,6 +17,7 @@ from cybermodels.montecarlo import (
     simulate_race,
 )
 from cybermodels.patchrace import (
+    DeploymentParams,
     ExploitCurveParams,
     PatchRaceScenario,
     WeibullParams,
@@ -211,6 +212,20 @@ class TestRaceSimulation:
             warnings.simplefilter("error")
             est = simulate_race(s, [2.75], SimConfig(trials=200_000, seed=3301))[0]
         assert abs(est.mean - exploitable_fraction(s, 2.75)) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("s, seed", [
+        (PatchRaceScenario(dev=WeibullParams(1e-6, 18.2)), 3401),
+        (PatchRaceScenario(dep=DeploymentParams(5e-324)), 3402),
+    ], ids=["k-1e-6", "beta-5e-324"])
+    def test_delay_that_overflows_to_inf_is_silent_and_matches_analytic(self, s, seed):
+        # the development power or the deployment quotient overflows to an
+        # infinite delay, which is exact: unpatched past every probe. Seeds
+        # 3401 and 3402 were fixed before the first run.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = simulate_race(s, [55.0, 365.0], SimConfig(trials=200_000, seed=seed))
+        for probe, est in zip([55.0, 365.0], ests):
+            assert abs(exploitable_fraction(s, probe) - est.mean) <= 4 * est.std_error, probe
 
     def test_negative_probe_rejected(self):
         with pytest.raises(ValueError, match=r"^probe time must be >= 0, got -5\.0$"):

@@ -172,6 +172,15 @@ class TestPatchedFraction:
         for t in (30.0, 55.0, 100.0, 365.0):
             assert abs(patched_fraction(DEFAULT, t) - patched_fraction(fine, t)) < 1e-3
 
+    def test_deploy_rate_whose_step_product_underflows(self):
+        # rate * step = 5e-324 * 0.25 rounds to 0: nothing is deployed on the grid
+        s = PatchRaceScenario(dep=DeploymentParams(5e-324))
+        assert patched_fraction(s, 10.0) == 0.0
+        assert np.all(race_sweep(s).column("patched_fraction") == 0.0)
+        summary = race_summary(s)  # the exploit curve alone, peaking on day 441.8
+        assert summary.peak_time == 441.75
+        assert summary.peak_fraction == exploit_availability(s.exploit, 441.75)
+
     def test_deploy_speedup_multiplies_rate(self):
         s = PatchRaceScenario(instant_dev=True, deploy_speedup=5.0)
         assert patched_fraction(s, 20.0) == pytest.approx(

@@ -169,6 +169,9 @@ def test_optimal_campaign_agrees_with_argmax_int(name):
     best = optimal_campaign(params, 1000)
     assert best.n_messages == n
     assert best.p_undetected == value
+    # the optimum's cells are read from its sweep: the same bits as scalar calls
+    assert best.p_infection == p_infection(params, n)
+    assert best.p_no_alert == p_no_alert(params, n)
 
 
 def _testers():

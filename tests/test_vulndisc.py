@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -156,6 +157,24 @@ class TestExpectedDiscoveries:
         whole = expected_discoveries(tester, t1, t3)
         split = expected_discoveries(tester, t1, t2) + expected_discoveries(tester, t2, t3)
         assert split == pytest.approx(whole, abs=1e-9 * max(1.0, whole))
+
+    def test_count_that_fits_is_finite_where_c_times_t1_power_overflows(self):
+        # 1e308 * 3**0.6 overflows from week 4, though every weekly count fits
+        weeks = np.arange(1, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = expected_discoveries(PowerLawTester(1e308, 0.4), weeks - 1.0, weeks)
+        unit = expected_discoveries(PowerLawTester(1.0, 0.4), weeks - 1.0, weeks)
+        assert np.all(np.isfinite(huge))
+        np.testing.assert_allclose(huge, 1e308 * unit, rtol=1e-15, atol=0)
+        for week, value in zip(weeks, huge):  # a week alone gets the same bits
+            assert expected_discoveries(PowerLawTester(1e308, 0.4), week - 1.0, week) == value
+
+    @pytest.mark.parametrize("alpha, t1, t2", [(0.999, 0.0, 1.0), (1.0, 1.0, 100.0)])
+    def test_count_past_the_float_range_is_inf_without_a_warning(self, alpha, t1, t2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expected_discoveries(PowerLawTester(1e308, alpha), t1, t2) == math.inf
 
     def test_rate_is_derivative_of_cumulative(self):
         tester = PowerLawTester(7.0, 0.8)
