@@ -30,6 +30,7 @@ DATA = "{data}"  # the checkout's data directory
 SIM = ["simulate", "--trials", "2000"]
 POWER_OVERFLOW = "[patchrace]\nA = 0.5\na = 800\nb = 294.3035529371539\n"  # b = 800 / e
 TINY_DEPLOY_RATE = "[patchrace]\nbeta_per_day = 5e-324\n"
+SMALL_SHAPE_DEPLOY_5X = "[patchrace]\nk = 0.05\ndeploy_speedup = 5\n"
 
 # (id, CLI arguments, input files written into the working directory first)
 CASES = [
@@ -43,6 +44,18 @@ CASES = [
     ("patchrace-out", ["patchrace", "--out", "t.csv"], {}),
     ("patchrace-summary", ["patchrace", "--summary"], {}),
     ("patchrace-summary-out", ["patchrace", "--summary", "--out", "t.csv"], {}),
+    # race-kernel regimes where the grid error is largest: a small shape with fast
+    # deployment (P at day 0.25 reads 0.00239853176504), a large shape, a finer grid
+    ("patchrace-small-shape-deploy-5x", ["patchrace", "--scenario", "k.scn"],
+     {"k.scn": SMALL_SHAPE_DEPLOY_5X}),
+    ("patchrace-small-shape-deploy-5x-summary", ["patchrace", "--summary", "--scenario", "k.scn"],
+     {"k.scn": SMALL_SHAPE_DEPLOY_5X}),
+    ("patchrace-large-shape", ["patchrace", "--scenario", "k.scn"],
+     {"k.scn": "[patchrace]\nk = 3\n"}),
+    ("patchrace-large-shape-summary", ["patchrace", "--summary", "--scenario", "k.scn"],
+     {"k.scn": "[patchrace]\nk = 3\n"}),
+    ("patchrace-fine-grid-summary", ["patchrace", "--summary", "--scenario", "grid.scn"],
+     {"grid.scn": "[patchrace]\ngrid_step_days = 0.1\n"}),
     ("fit-weibull", ["fit", "--kind", "weibull", "--data", f"{DATA}/patch_dev_reference.csv"], {}),
     ("fit-weibull-out", ["fit", "--kind", "weibull", "--data",
                          f"{DATA}/patch_dev_reference.csv", "--out", "t.csv"], {}),
