@@ -1,16 +1,26 @@
 #!/usr/bin/env python3
-"""Digest what the CLI does on a fixed list of cases, to compare two checkouts.
+"""Digest what the CLI does on a fixed list of cases: the exact byte gate.
 
-Each case runs ``python -m cybermodels.cli <args>`` as a subprocess with
-``PYTHONPATH=<checkout>/src``, in a fresh working directory that holds only
-the case's input files. One line per case gives its id, its exit code, and
-the first 16 hex digits of the sha256 of stdout, of stderr and of each file
-the case wrote. Every path a case uses is relative to its working directory,
-so two checkouts with the same behaviour print the same lines:
+Each case calls ``cybermodels.cli.main`` in-process, as a fresh
+``python -m cybermodels.cli <args>`` process would run it: in a fresh working
+directory that holds only the case's input files, with ``COLUMNS=80`` (argparse
+wraps help text by it) and the warning filters an interpreter starts with,
+printing to stderr whatever filters the caller has set. One line per case
+gives its id, its exit code, and the first 16 hex digits of the sha256 of
+stdout, of stderr (both as UTF-8 bytes) and of each file the case wrote.
+Every path a case uses is relative to its working directory, save ``{data}``,
+the data directory of the checkout that holds the ``cybermodels`` imported.
 
-    python scripts/cli_digest.py /path/to/parent > parent.txt
-    python scripts/cli_digest.py > change.txt      # this checkout
-    diff parent.txt change.txt
+``tests/golden/cli_digest.txt`` is this script's output, and
+``tests/test_cli_digest.py`` checks it line by line. A change that moves a CLI
+byte rewrites the file, and its diff is the record::
+
+    PYTHONPATH=src python scripts/cli_digest.py > tests/golden/cli_digest.txt
+
+To compare with another checkout, digest its package the same way:
+
+    PYTHONPATH=/path/to/parent/src python scripts/cli_digest.py > parent.txt
+    diff parent.txt tests/golden/cli_digest.txt
 
 The cases cover every subcommand on stdout and with ``--out``, ``figures``,
 each kind of validation and write error, and the ``notice:`` lines. The
@@ -18,15 +28,20 @@ top-level ``--help`` is left out: it prints the module docstring of
 ``cybermodels.cli``, which changes with its documentation.
 """
 
-import argparse
 import hashlib
+import io
 import os
-import subprocess
 import sys
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
-DATA = "{data}"  # the checkout's data directory
+from cybermodels import cli
+
+DATA = "{data}"  # the data directory of the checkout that holds cybermodels
+DATA_DIR = Path(cli.__file__).resolve().parents[2] / "data"
 SIM = ["simulate", "--trials", "2000"]
 POWER_OVERFLOW = "[patchrace]\nA = 0.5\na = 800\nb = 294.3035529371539\n"  # b = 800 / e
 TINY_DEPLOY_RATE = "[patchrace]\nbeta_per_day = 5e-324\n"
@@ -170,37 +185,36 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_case(checkout: Path, args, inputs, workdir: Path) -> str:
+def run_case(args, inputs, workdir: Path) -> str:
     workdir.mkdir()
     for name, text in inputs.items():
         (workdir / name).write_text(text, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
-           "COLUMNS": "80", "OPENBLAS_NUM_THREADS": "1"}
-    argv = [a.replace(DATA, str(checkout / "data")) for a in args]
-    proc = subprocess.run([sys.executable, "-m", "cybermodels.cli", *argv], cwd=workdir,
-                          env=env, capture_output=True, timeout=300)
-    written = sorted(
-        p for p in workdir.rglob("*") if p.is_file() and p.name not in inputs
-    )
-    files = " ".join(
-        f"{p.relative_to(workdir).as_posix()}:{_digest(p.read_bytes())}" for p in written
-    )
-    return (f"exit={proc.returncode} stdout={_digest(proc.stdout)} "
-            f"stderr={_digest(proc.stderr)} files={files or '-'}")
+    out, err = (io.TextIOWrapper(io.BytesIO(), "utf-8", newline="", write_through=True)
+                for _ in "oe")
+    home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with warnings.catch_warnings(), mock.patch.dict(os.environ, COLUMNS="80"), \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.resetwarnings()  # then a release build's start-up filters, without -W
+            for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                             ResourceWarning):
+                warnings.simplefilter("ignore", category, append=True)
+            warnings.showwarning = lambda *w: sys.stderr.write(warnings.formatwarning(*w[:4]))
+            code = cli.main([a.replace(DATA, str(DATA_DIR)) for a in args])
+    finally:
+        os.chdir(home)
+    files = " ".join(f"{p.relative_to(workdir).as_posix()}:{_digest(p.read_bytes())}"
+                     for p in sorted(workdir.rglob("*")) if p.is_file() and p.name not in inputs)
+    return (f"exit={code} stdout={_digest(out.buffer.getvalue())} "
+            f"stderr={_digest(err.buffer.getvalue())} files={files or '-'}")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parent.parent,
-                        type=Path, help="checkout whose src/ to run (default: this one)")
-    args = parser.parse_args()
-    checkout = args.checkout.resolve()
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (case, cli_args, inputs) in enumerate(CASES):
-            print(case, run_case(checkout, cli_args, inputs, Path(tmp) / str(i)), flush=True)
-    return 0
+        for i, (case, args, inputs) in enumerate(CASES):
+            print(case, run_case(args, inputs, Path(tmp) / str(i)), flush=True)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
