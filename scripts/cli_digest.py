@@ -4,12 +4,13 @@
 Each case calls ``cybermodels.cli.main`` in-process, as a fresh
 ``python -m cybermodels.cli <args>`` process would run it: in a fresh working
 directory that holds only the case's input files, with ``COLUMNS=80`` (argparse
-wraps help text by it) and the warning filters an interpreter starts with,
-printing to stderr whatever filters the caller has set. One line per case
-gives its id, its exit code, and the first 16 hex digits of the sha256 of
-stdout, of stderr (both as UTF-8 bytes) and of each file the case wrote.
-Every path a case uses is relative to its working directory, save ``{data}``,
-the data directory of the checkout that holds the ``cybermodels`` imported.
+wraps help text by it), and with the warning filters an interpreter starts
+with, whatever filters the caller has set, so a warning prints to stderr and
+never raises. One line per case gives its id, its exit code, and the first
+16 hex digits of the sha256 of stdout, of stderr (both as UTF-8 bytes) and of
+each file the case wrote. Every path a case uses is relative to its working
+directory, save ``{data}``, the data directory of the checkout that holds the
+``cybermodels`` imported.
 
 ``tests/golden/cli_digest.txt`` is this script's output, and
 ``tests/test_cli_digest.py`` checks it line by line. A change that moves a CLI

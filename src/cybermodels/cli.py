@@ -196,6 +196,8 @@ def _cmd_figures(args, scn) -> dict[str, CurveSeries]:
     # each call.
     race = scn.race
     sweep = patchrace.race_sweep(race)
+    instant_dev = patchrace.race_sweep(replace(race, instant_dev=True))
+    deploy_5x = patchrace.race_sweep(replace(race, deploy_speedup=5.0))
     phishing_presets = {
         "no_ai": load_preset("baseline.scn").phishing,
         "ai_writer": load_preset("table1_ai_writer.scn").phishing,
@@ -259,17 +261,15 @@ def _cmd_figures(args, scn) -> dict[str, CurveSeries]:
         }, x_label="t"),
         # technology-advance contrasts
         "fig9a": _columns("t", {
-            "baseline": sweep,
-            "instant_patch_dev": patchrace.race_sweep(replace(race, instant_dev=True)),
-            "deploy_5x": patchrace.race_sweep(replace(race, deploy_speedup=5.0)),
+            "baseline": sweep, "instant_patch_dev": instant_dev, "deploy_5x": deploy_5x,
         }, "exploitable_fraction"),
-        "fig9b": _columns("t", {
-            "instant_exploit": patchrace.race_sweep(replace(race, instant_exploit=True)),
-            "instant_exploit_deploy_5x": patchrace.race_sweep(
-                replace(race, instant_exploit=True, deploy_speedup=5.0)),
-            "instant_exploit_instant_dev": patchrace.race_sweep(
-                replace(race, instant_exploit=True, instant_dev=True)),
-        }, "exploitable_fraction"),
+        # with instant exploits the exploitable fraction is 1.0 * (1.0 - patched_fraction)
+        "fig9b": CurveSeries({
+            "t": sweep.column("t"),
+            "instant_exploit": 1.0 - sweep.column("patched_fraction"),
+            "instant_exploit_deploy_5x": 1.0 - deploy_5x.column("patched_fraction"),
+            "instant_exploit_instant_dev": 1.0 - instant_dev.column("patched_fraction"),
+        }, x_label="t"),
     }
 
 

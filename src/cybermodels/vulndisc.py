@@ -70,9 +70,11 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
     c * t1**e * expm1(e * log1p((t2-t1)/t1)) / e with e = 1-alpha, which
     subtracts nothing, so it keeps full precision for alpha > 1 and agrees
     with the log branch across alpha -> 1; t1 = 0 gives c/e * t2**e. Where
-    that overflows, c is applied last instead, so a count that fits in a float
-    is returned, and one that does not is inf. For alpha >= 1 the integral
-    diverges at 0, so t1 must be positive there.
+    that overflows, c is applied last instead, and where t1**e or the expm1
+    term overflows too, the product is taken in logs; where (t2-t1)/t1
+    overflows at a tiny t1, the log ratio is log t2 - log t1. So a count that
+    fits in a float is returned, and one that does not is inf. For alpha >= 1
+    the integral diverges at 0, so t1 must be positive there.
     """
     alpha = tester.difficulty_exponent
     c = tester.initial_rate
@@ -85,15 +87,23 @@ def expected_discoveries(tester: PowerLawTester, t1, t2):
         )
     positive = np.greater(t1, 0)
     base = np.where(positive, t1, 1.0)  # t1 = 0 entries take the t2**e branch below
-    log_ratio = np.log1p((t2 - t1) / base)
     e = 1.0 - alpha
     with np.errstate(over="ignore"):
+        log_ratio = np.log1p((t2 - t1) / base)
+        if not np.isfinite(log_ratio).all():  # (t2 - t1) / t1 overflowed at a tiny t1
+            log_ratio = np.where(np.isfinite(log_ratio), log_ratio, np.log(t2) - np.log(base))
         if alpha == 1.0:
             return (c * log_ratio)[()]
         value = np.where(positive, c * base**e * np.expm1(e * log_ratio) / e, c / e * t2**e)
         if not np.isfinite(value).all():  # c * t1**e overflowed; the count may still fit
             late = c * np.where(positive, base**e * np.expm1(e * log_ratio) / e, t2**e / e)
             value = np.where(np.isfinite(value), value, late)
+        if not np.isfinite(value[positive]).all():  # t1**e or expm1 overflowed: in logs
+            x = e * log_ratio  # log |expm1(x)| = max(x, 0) + log(-expm1(-|x|))
+            with np.errstate(divide="ignore"):  # x = 0 only where t1 = 0, which keeps value
+                logs = np.exp(np.log(c) - np.log(abs(e)) + e * np.log(base)
+                              + np.maximum(x, 0.0) + np.log(-np.expm1(-np.abs(x))))
+            value = np.where(positive & ~np.isfinite(value), logs, value)
     return value[()]
 
 

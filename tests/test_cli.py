@@ -423,7 +423,7 @@ class TestFiguresCommand:
         assert body[0][0] == pytest.approx(0.57, rel=0.01)
         assert body[0][1] == pytest.approx(18.2, rel=0.01)
 
-    def test_one_run_makes_six_race_sweeps(self, tmp_path, monkeypatch):
+    def test_one_run_makes_three_race_sweeps(self, tmp_path, monkeypatch):
         calls = []
         sweep = patchrace.race_sweep
 
@@ -433,8 +433,9 @@ class TestFiguresCommand:
 
         monkeypatch.setattr(patchrace, "race_sweep", counting_sweep)
         assert main(["figures", "--out", str(tmp_path)]) == 0
-        # the baseline sweep, shared by fig6, fig8 and fig9a, plus five variants
-        assert len(calls) == 6
+        # fig9a's three sweeps: the baseline one, shared by fig6 and fig8, and two
+        # variants; fig9b's instant-exploit curves are their unpatched fractions
+        assert len(calls) == 3
 
     def test_one_run_makes_one_weekly_series_per_tester(self, tmp_path, monkeypatch):
         calls = []

@@ -170,6 +170,15 @@ class TestExpectedDiscoveries:
         for week, value in zip(weeks, huge):  # a week alone gets the same bits
             assert expected_discoveries(PowerLawTester(1e308, 0.4), week - 1.0, week) == value
 
+    @pytest.mark.parametrize("alpha, t1", [(0.4, 5e-324), (1.0, 5e-324), (3.0, 7e-155)])
+    def test_count_that_fits_is_finite_at_a_tiny_start(self, alpha, t1):
+        # (t2 - t1) / t1 overflows at 5e-324, and t1**-2 at 7e-155 (the count, 1.02e308, fits)
+        tester = PowerLawTester(1.0, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = expected_discoveries(tester, t1, 1.0)
+        assert value == pytest.approx(float(decimal_expected(tester, t1, 1.0)), rel=1e-12)
+
     @pytest.mark.parametrize("alpha, t1, t2", [(0.999, 0.0, 1.0), (1.0, 1.0, 100.0)])
     def test_count_past_the_float_range_is_inf_without_a_warning(self, alpha, t1, t2):
         with warnings.catch_warnings():
