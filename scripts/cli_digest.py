@@ -47,6 +47,13 @@ SIM = ["simulate", "--trials", "2000"]
 POWER_OVERFLOW = "[patchrace]\nA = 0.5\na = 800\nb = 294.3035529371539\n"  # b = 800 / e
 TINY_DEPLOY_RATE = "[patchrace]\nbeta_per_day = 5e-324\n"
 SMALL_SHAPE_DEPLOY_5X = "[patchrace]\nk = 0.05\ndeploy_speedup = 5\n"
+# deployment rates whose exponent overflows: rate x t (silent, a CDF of 1), the rate
+# itself and rate x step (both refused)
+DEPLOY_OVERFLOW = {
+    "deploy-rate-day-overflow": "[patchrace]\nbeta_per_day = 1e307\n",
+    "deploy-rate-overflow": "[patchrace]\nbeta_per_day = 1e300\ndeploy_speedup = 1e300\n",
+    "deploy-rate-step-overflow": "[patchrace]\nbeta_per_day = 1e307\ngrid_step_days = 100\n",
+}
 
 # (id, CLI arguments, input files written into the working directory first)
 CASES = [
@@ -179,6 +186,15 @@ CASES = [
     ("write-error-series", ["phishing", "--sweep", "5", "--out", "missing/t.csv"], {}),
     ("write-error-rows", ["patchrace", "--summary", "--out", "missing/t.csv"], {}),
     ("write-error-figures", ["figures", "--out", "taken"], {"taken": ""}),
+    *((f"{case}{suffix}", [*command, "--scenario", "beta.scn"], {"beta.scn": text})
+      for case, text in DEPLOY_OVERFLOW.items()
+      for suffix, command in (("", ["patchrace"]), ("-summary", ["patchrace", "--summary"]),
+                              ("-simulate-race", [*SIM, "--kind", "race"]))),
+    # the discovery oracle's draw limit: exit 1 before any draw, naming the scenario
+    ("simulate-discovery-limit-rate", [*SIM, "--kind", "discovery", "--scenario", "c.scn"],
+     {"c.scn": "[vulndisc]\nc = 1e5\n"}),
+    ("simulate-discovery-limit-pieces", [*SIM, "--kind", "discovery", "--t2", "1e6"], {}),
+    ("simulate-discovery-limit-tiny-start", [*SIM, "--kind", "discovery", "--t1", "1e-300"], {}),
 ]
 
 

@@ -99,6 +99,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _source(args) -> str:
+    """The scenario's name in messages, as the scenario parser gives it."""
+    return "<defaults>" if args.scenario is None else str(Path(args.scenario))
+
+
 def _cmd_phishing(args, scn) -> CurveSeries:
     check("--sweep", args.sweep, "must be >= 1")
     return phishing.campaign_sweep(scn.phishing, args.sweep)
@@ -111,7 +116,7 @@ def _cmd_vulndisc(args, scn) -> CurveSeries:
         cumulative = np.cumsum(series.column("discoveries"))
     raise_at_first(~np.isfinite(cumulative),
                    "{scenario}: cumulative discoveries pass the float range at week {week:g}; "
-                   "c = {c} is too large", scenario=args.scenario, week=series.column("week"),
+                   "c = {c} is too large", scenario=_source(args), week=series.column("week"),
                    c=scn.tester.initial_rate)
     return CurveSeries({**series.columns, "cumulative": cumulative}, series.x_label)
 
@@ -167,7 +172,10 @@ def _cmd_simulate(args, scn):
         ]
         return ["quantity", "mean", "std_error", "trials", "seed", "rng"], rows
     if args.kind == "discovery":
-        est = montecarlo.simulate_discovery(scn.tester, args.t1, args.t2, cfg)
+        try:
+            est = montecarlo.simulate_discovery(scn.tester, args.t1, args.t2, cfg)
+        except montecarlo.DrawLimitError as exc:
+            raise ValueError(f"{_source(args)}: {exc}") from None
         return (
             ["t1_weeks", "t2_weeks", "mean", "std_error", "trials", "seed", "rng"],
             [[args.t1, args.t2, est.mean, est.std_error, *meta]],

@@ -32,6 +32,8 @@ from .vulndisc import PowerLawTester
 
 RNG_ALGORITHM = "philox4x64"
 BLOCK_TRIALS = 1 << 15
+# the most draws one full block of simulate_discovery may ask for (see there)
+MAX_BLOCK_DRAWS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,10 @@ class SimEstimate:
 
     def __post_init__(self):
         check("std_error", self.std_error, "must be >= 0")
+
+
+class DrawLimitError(ValueError):
+    """A run that would draw more than its oracle's stated limit."""
 
 
 class PhishingEstimates(NamedTuple):
@@ -117,6 +123,10 @@ def simulate_discovery(
     Simulated by thinning: candidates arrive under a piecewise-constant
     majorant equal to the rate at each subinterval's left endpoint (the rate
     never increases), then are accepted with probability rate(x)/majorant.
+
+    Before anything is drawn, the draws of one full block are estimated as
+    BLOCK_TRIALS x (pieces + expected candidates per trial); past
+    MAX_BLOCK_DRAWS the run raises DrawLimitError.
     """
     if not RULES["must be > 0"](t1):
         raise ValueError(
@@ -126,7 +136,18 @@ def simulate_discovery(
     if not t2 > t1:
         raise ValueError(f"t2 ({t2}) must exceed t1 ({t1})")
     c, alpha = tester.initial_rate, tester.difficulty_exponent
-    sub = _thinning_edges(t1, t2)
+    # the pieces alone, at least 4 per week, bound the draws before they are laid out
+    draws = BLOCK_TRIALS * 4 * (t2 - t1)
+    if draws <= MAX_BLOCK_DRAWS:
+        sub = _thinning_edges(t1, t2)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the limit
+            draws = BLOCK_TRIALS * (sub.size - 1 + np.sum(c * sub[:-1] ** -alpha * np.diff(sub)))
+    if not draws <= MAX_BLOCK_DRAWS:
+        raise DrawLimitError(
+            f"the discovery oracle would draw at least {draws:.3g} values per "
+            f"{BLOCK_TRIALS}-trial block at c = {c}, t1 = {t1}, t2 = {t2}, past its "
+            f"limit of {MAX_BLOCK_DRAWS}"
+        )
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         counts = np.zeros(size, dtype=np.int64)

@@ -5,7 +5,8 @@ exponential. The patched fraction, the CDF of their sum, is a midpoint sum on
 a fixed day grid: development cell masses (CDF differences over grid cells,
 which remove the shape<1 density singularity at zero exactly) times the
 deployment CDF from each cell midpoint. An exponential deployment delay turns
-that sum into O(N) recursions over the nodes (see ``_patched``).
+that sum into O(N) recursions over the nodes (see ``_node_pass``); the
+midpoint rule itself is ``_cell_weights`` and ``_partial_weight``.
 
 Exploit availability follows an exponentially-capped power law
 amplitude * t**growth * exp(-decay * t). Its raw form is not monotone: it
@@ -121,6 +122,11 @@ class PatchRaceScenario:
         check("deploy_speedup", self.deploy_speedup, "must be >= 1")
         if self.grid.start != 0:
             raise ValueError(f"a race grid must start at day 0, got start {self.grid.start}")
+        if not math.isfinite(self.effective_deploy_rate * self.grid.step):
+            raise ValueError(
+                f"beta_per_day {self.dep.rate_per_day} x deploy_speedup {self.deploy_speedup} "
+                f"x grid step {self.grid.step} days must be finite"
+            )
 
     @property
     def effective_deploy_rate(self) -> float:
@@ -164,7 +170,8 @@ def patch_developed_all_vulns(p: WeibullParams, pre_frac: float, t):
 
 
 def _deployed_cdf(rate: float, t):
-    return -np.expm1(-rate * t)
+    with np.errstate(over="ignore"):  # an overflow to -inf gives a CDF of exactly 1
+        return -np.expm1(-rate * t)
 
 
 def patch_deployed_cdf(d: DeploymentParams, t):
@@ -173,32 +180,39 @@ def patch_deployed_cdf(d: DeploymentParams, t):
     return _deployed_cdf(d.rate_per_day, t)
 
 
-def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
-    """Patched fraction at each time in the 1-d array ``ts``.
+def _cell_weights(rh: float, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint rule over one step, rh = rate x step: of a cell's mass m,
+    v = (1 - e^{-rh/2}) m is deployed by its right node, w = e^{-rh/2} m is not."""
+    return -math.expm1(-rh / 2) * mass, math.exp(-rh / 2) * mass
 
-    With q = e^{-rh}, cell masses m_i and development mass F_i before node i,
-    the patched fraction P and the undeployed mass U = F - P obey recursions
-    with positive terms only, each a discounted cumulative sum taken in blocks
-    short enough that e^{rh m} stays finite:
-        P_i = q P_{i-1} + (1 - q) F_{i-1} + (1 - e^{-rh/2}) m_{i-1}
-        U_i = q U_{i-1} + e^{-rh/2} m_{i-1}
+
+def _partial_weight(rate: float, h: float, d, mass_k):
+    """The midpoint rule inside cell k: its mass deployed d days past its left
+    node (0 <= d < h), none before the midpoint, so exactly 0 at d = 0."""
+    return -np.expm1(-rate * np.maximum(d - h / 2, 0.0)) * mass_k
+
+
+def _node_pass(s: PatchRaceScenario, nodes: np.ndarray):
+    """(F, m, P) at ``nodes``, the grid or a prefix of it: the development CDF,
+    the cell masses (0 past the last node) and the patched fraction. With
+    instant development P is the deployment CDF and the recursions are skipped.
+
+    With q = e^{-rh} and the weights (v, w) of ``_cell_weights``, P and the
+    undeployed mass U = F - P obey recursions with positive terms only, each a
+    discounted cumulative sum taken in blocks short enough that e^{rh m} stays
+    finite:
+        P_i = q P_{i-1} + (1 - q) F_{i-1} + v_{i-1}
+        U_i = q U_{i-1} + w_{i-1}
     P_i is read from the first where P_i <= U_i and as F_i - U_i elsewhere, so
-    neither P nor 1 - P cancels. At t = t_k + d with 0 <= d < h,
-        P(t) = e^{-rd} P_k + (1 - e^{-rd}) F_k + m_k (1 - e^{-r max(d - h/2, 0)}),
-    which is P_k bit for bit at d = 0, so a day gets the same bits alone or in
-    an array.
+    neither P nor 1 - P cancels.
     """
-    rate = s.effective_deploy_rate
-    if s.instant_dev:
-        return _deployed_cdf(rate, ts)
-    nodes, h = s.grid.nodes(), s.grid.step
-    k = np.searchsorted(nodes, ts, side="right") - 1
-    nodes = nodes[: k.max(initial=0) + 2]  # later nodes cannot reach any of ts
     cdf = patch_developed_cdf(s.dev, nodes)
     mass = np.append(np.diff(cdf), 0.0)
-    rh = rate * h
-    terms = np.stack([-math.expm1(-rh) * cdf - math.expm1(-rh / 2) * mass,
-                      math.exp(-rh / 2) * mass])[:, :-1]
+    if s.instant_dev:
+        return cdf, mass, _deployed_cdf(s.effective_deploy_rate, nodes)
+    rh = s.effective_deploy_rate * s.grid.step
+    v, w = _cell_weights(rh, mass)
+    terms = np.stack([-math.expm1(-rh) * cdf + v, w])[:, :-1]
     sums, n = np.zeros((2, nodes.size)), nodes.size - 1
     block = max(1, int(min(n, 600.0 / rh)) if rh > 0 else n)  # rh = 0: nothing grows
     for i in range(0, n, block):
@@ -206,19 +220,27 @@ def _patched(s: PatchRaceScenario, ts: np.ndarray) -> np.ndarray:
         grown = np.cumsum(terms[:, i : i + e.size] * np.exp(e), axis=1)
         sums[:, i + 1 : i + e.size + 1] = np.exp(-e) * (math.exp(-rh) * sums[:, i, None] + grown)
     recursed, undeployed = sums
-    patched = np.where(recursed <= undeployed, recursed, cdf - undeployed)
-    d = ts - nodes[k]
-    late = -np.expm1(-rate * np.maximum(d - h / 2, 0.0))
-    return np.exp(-rate * d) * patched[k] - np.expm1(-rate * d) * cdf[k] + late * mass[k]
+    return cdf, mass, np.where(recursed <= undeployed, recursed, cdf - undeployed)
 
 
 def patched_fraction(s: PatchRaceScenario, t):
     """Fraction of systems patched by day t (development + deployment delay);
-    t is a float or an array of days inside the scenario grid."""
+    t is a float or an array of days inside the scenario grid. At t = t_k + d,
+    0 <= d < h, P(t) = e^{-rd} P_k + (1 - e^{-rd}) F_k + ``_partial_weight``,
+    which is P_k bit for bit at d = 0 (alone, in an array or in a sweep)."""
     hi, ts = s.grid.last_node, np.asarray(t)
     message = "t={t} lies outside the scenario grid [0.0, {hi}]"
     raise_at_first(~((0.0 <= ts) & (ts <= hi)), message, t=t, hi=hi)
-    return _patched(s, np.ravel(t)).reshape(np.shape(t))[()]
+    ts, rate = np.ravel(t), s.effective_deploy_rate
+    if s.instant_dev:
+        return _deployed_cdf(rate, ts).reshape(np.shape(t))[()]
+    nodes, h = s.grid.nodes(), s.grid.step
+    k = np.searchsorted(nodes, ts, side="right") - 1
+    cdf, mass, patched = _node_pass(s, nodes[: k.max(initial=0) + 2])  # no later node reaches ts
+    d = ts - nodes[k]
+    value = (np.exp(-rate * d) * patched[k] - np.expm1(-rate * d) * cdf[k]
+             + _partial_weight(rate, h, d, mass[k]))
+    return value.reshape(np.shape(t))[()]
 
 
 def exploit_availability(e: ExploitCurveParams, t):
@@ -258,11 +280,11 @@ def exploitable_fraction(s: PatchRaceScenario, t):
 def race_sweep(s: PatchRaceScenario) -> CurveSeries:
     """All race curves evaluated at every grid node."""
     ts = s.grid.nodes()
-    patched = _patched(s, ts)
+    cdf, _, patched = _node_pass(s, ts)
     avail = np.ones_like(ts) if s.instant_exploit else exploit_availability(s.exploit, ts)
     return CurveSeries({
         "t": ts,
-        "patch_dev_cdf": patch_developed_cdf(s.dev, ts),
+        "patch_dev_cdf": cdf,
         "patch_dep_cdf": _deployed_cdf(s.effective_deploy_rate, ts),
         "patched_fraction": patched,
         "exploit_availability": avail,

@@ -395,6 +395,25 @@ class TestSimulateCommand:
         _, body = parse_csv(out)
         assert body[0][2] > 0  # mean count
 
+    @pytest.mark.parametrize("scenario, flags, source, c, t1, t2, draws", [
+        (None, ["--t2", "1e6"], "<defaults>", "6.0", "1.0", "1000000.0", "1.31e+11"),
+        ("[vulndisc]\nc = 1e5\n", [], "{scn}", "100000.0", "1.0", "53.0", "5.4e+10"),
+    ], ids=["pieces", "candidates"])
+    def test_discovery_past_the_draw_limit_exits_1_naming_the_scenario(
+            self, scenario, flags, source, c, t1, t2, draws, tmp_path, capsys):
+        args = ["simulate", "--kind", "discovery", *flags]
+        if scenario is not None:
+            scn = tmp_path / "c.scn"
+            scn.write_text(scenario, encoding="utf-8")
+            args += ["--scenario", str(scn)]
+            source = source.format(scn=scn)
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {source}: the discovery oracle would draw at least {draws} values per "
+            f"32768-trial block at c = {c}, t1 = {t1}, t2 = {t2}, past its limit of 67108864\n"
+        )
+
 
 class TestFiguresCommand:
     def test_all_figure_files_exist(self, figures_dir):

@@ -13,11 +13,8 @@ The rows are built from ``scenario._KEYS``: a key's values come from its rule
 without edge values here fails collection. ``trials``, ``workers`` and the
 grid keys take only their lower edge, as larger values ask for more work by
 design. Every oracle run draws at most 2000 trials, one block, so no row
-starts a worker thread.
-
-``simulate --kind discovery`` is left out: its candidate draws grow with the
-rate c (about c x 32768 x piece mass per thinning piece and block), so a
-large c asks for gigabytes by design until the sampler bounds its work.
+starts a worker thread. ``simulate --kind discovery`` runs over weeks 1 to 5;
+a rate c whose candidate draws pass the oracle's stated limit exits 1.
 """
 
 import csv
@@ -44,30 +41,35 @@ MAGNITUDES = {
     "c": ["1e308", "1e-320"],
     "alpha": ["1e6", repr(1 - 1e-12)],
     "k": ["1e-6", "1000"],
+    "beta_per_day": ["1e307"],
     "a": ["1e-300"],
     "grid_stop_days": ["1e-300"],
     "grid_step_days": ["1e-300"],
 }
-# several keys at once: a peak value past the float range, and a curve whose
-# power overflows on the default grid although it peaks at exactly 0.5
+# several keys at once: a peak value past the float range, a curve whose
+# power overflows on the default grid although it peaks at exactly 0.5, and a
+# deployment rate, or its product with the grid step, past the float range
 SEVERAL_KEYS = {
     "peak-value-overflow": "A = 1e-300\na = 100\nb = 1e-5\n",
     "exploit-power-overflow": f"A = 0.5\na = 800\nb = {800 / math.e!r}\n",
+    "deploy-rate-overflow": "beta_per_day = 1e300\ndeploy_speedup = 1e300\n",
+    "deploy-rate-step-overflow": "beta_per_day = 1e307\ngrid_step_days = 100\n",
 }
 
 SIM = ["simulate", "--trials", "2000", "--kind"]
+DISCOVERY = [*SIM, "discovery", "--t1", "1", "--t2", "5"]
 PATCHRACE = {"patchrace": ["patchrace"], "summary": ["patchrace", "--summary"],
              "simulate-race": [*SIM, "race"]}
 # section -> the subcommands that read its keys
 COMMANDS = {
     "phishing": {"phishing": ["phishing", "--sweep", "5"],
                  "simulate-phishing": [*SIM, "phishing"]},
-    "vulndisc": {"vulndisc": ["vulndisc", "--weeks", "5"]},
+    "vulndisc": {"vulndisc": ["vulndisc", "--weeks", "5"], "simulate-discovery": DISCOVERY},
     "patchrace": PATCHRACE,
-    "montecarlo": {"simulate-race": [*SIM, "race"]},
+    "montecarlo": {"simulate-race": [*SIM, "race"], "simulate-discovery": DISCOVERY},
 }
 PROBABILITY_COLUMNS = {
-    "p_infection", "p_no_alert", "p_undetected", "mean",  # simulate --kind phishing
+    "p_infection", "p_no_alert", "p_undetected",
     "patch_dev_cdf", "patch_dep_cdf", "patched_fraction", "exploit_availability",
     "exploitable_fraction", "peak_fraction", "fraction_at_1yr",
 }
@@ -120,5 +122,6 @@ def test_finite_cells_or_an_error_naming_the_scenario(text, command, tmp_path, c
             continue
         values = [float(cell) for cell in cells]
         assert all(math.isfinite(v) for v in values), (name, cells)
-        if name in PROBABILITY_COLUMNS:
+        # simulate --kind phishing gives its probabilities in "mean"; discovery a count
+        if name in PROBABILITY_COLUMNS or (name == "mean" and "quantity" in header):
             assert all(0.0 <= v <= 1.0 for v in values), (name, cells)

@@ -1,14 +1,18 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cybermodels import montecarlo
 from cybermodels.montecarlo import (
+    DrawLimitError,
     SimConfig,
     SimEstimate,
     run_regression_suite,
@@ -24,6 +28,7 @@ from cybermodels.patchrace import (
     exploitable_fraction,
 )
 from cybermodels.phishing import PhishingParams
+from cybermodels.scenario import list_bundled, load_preset
 from cybermodels.vulndisc import PowerLawTester
 
 BASELINE = PhishingParams(0.03, 0.015, 0.01)
@@ -117,6 +122,30 @@ class TestDiscoverySimulation:
             simulate_discovery(tester, math.nan, 2.0, SimConfig(trials=10, seed=1))
         with pytest.raises(ValueError, match="exceed"):
             simulate_discovery(tester, 2.0, 2.0, SimConfig(trials=10, seed=1))
+
+    @pytest.mark.parametrize("c, t1, t2, draws", [
+        (1e5, 1.0, 53.0, "5.4e+10"),  # candidates: c x 16.4 per trial
+        (6.0, 1.0, 1e6, "1.31e+11"),  # pieces: 4e6 per trial, never laid out
+        (6.0, 1e-300, 53.0, "4.92e+124"),  # the first piece's majorant
+        (6.0, 1.0, 1e308, "inf"),  # more pieces than the float range
+        (1e308, 1.0, 5.0, "inf"),  # a candidate sum past the float range, without a warning
+    ])
+    def test_work_past_the_limit_is_refused_before_any_draw(self, c, t1, t2, draws, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(montecarlo, "_map_blocks", no_draws)
+        message = (f"the discovery oracle would draw at least {draws} values per 32768-trial "
+                   f"block at c = {c}, t1 = {t1}, t2 = {t2}, past its limit of 67108864")
+        with pytest.raises(DrawLimitError, match=f"^{re.escape(message)}$"):
+            simulate_discovery(PowerLawTester(c, 0.4), t1, t2, SimConfig(trials=10, seed=1))
+
+    @pytest.mark.parametrize("preset", list_bundled())
+    def test_bundled_testers_pass_the_limit_on_the_default_interval(self, preset, monkeypatch):
+        # fast_ai asks for the most, about 3.9e7 draws per block; no block is drawn here
+        monkeypatch.setattr(montecarlo, "_map_blocks", lambda cfg, fn: [np.zeros(1, np.int64)])
+        tester = load_preset(preset).tester
+        assert simulate_discovery(tester, 1.0, 53.0, SimConfig(trials=1, seed=1)).mean == 0.0
 
     def test_single_trial_has_zero_std_error(self):
         est = simulate_discovery(PowerLawTester(6.0, 0.4), 1.0, 2.0, SimConfig(trials=1, seed=1))

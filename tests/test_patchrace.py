@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +75,16 @@ class TestTypes:
             PatchRaceScenario(pre_disclosure_patch_fraction=1.5)
         with pytest.raises(ValueError, match=r"^deploy_speedup must be >= 1, got 0\.5$"):
             PatchRaceScenario(deploy_speedup=0.5)
+
+    @pytest.mark.parametrize("rate, speedup, step", [(1e300, 1e300, 0.25), (1e307, 1.0, 100.0)],
+                             ids=["rate-inf", "rate-times-step-inf"])
+    def test_deploy_rate_times_step_must_be_finite(self, rate, speedup, step):
+        # an infinite rh makes the recursion take inf x 0 = nan
+        message = (f"beta_per_day {rate} x deploy_speedup {speedup} x grid step {step} days "
+                   "must be finite")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PatchRaceScenario(dep=DeploymentParams(rate), deploy_speedup=speedup,
+                              grid=Grid(0.0, 730.0, step))
 
     def test_race_grid_must_start_at_day_0(self):
         # a later start would drop the development mass before it
@@ -180,6 +191,14 @@ class TestPatchedFraction:
         summary = race_summary(s)  # the exploit curve alone, peaking on day 441.8
         assert summary.peak_time == 441.75
         assert summary.peak_fraction == exploit_availability(s.exploit, 441.75)
+
+    def test_deploy_rate_whose_day_product_overflows(self):
+        # rate * step = 2.5e306 is finite, rate * t overflows to inf past day 17.9
+        s = PatchRaceScenario(dep=DeploymentParams(1e307))
+        sweep = race_sweep(s)  # RuntimeWarnings are errors in this suite
+        assert np.all(sweep.column("patch_dep_cdf")[1:] == 1.0)
+        assert np.array_equal(sweep.column("patched_fraction"), sweep.column("patch_dev_cdf"))
+        assert patch_deployed_cdf(s.dep, 730.0) == 1.0
 
     def test_deploy_speedup_multiplies_rate(self):
         s = PatchRaceScenario(instant_dev=True, deploy_speedup=5.0)

@@ -139,6 +139,10 @@ def test_patched_and_exploitable_match_reference(flags):
     np.testing.assert_allclose(
         exploitable_fraction(s, probes), avail * (1.0 - ref_patch), rtol=RTOL, atol=1e-14
     )
+    # the sweep reads P from its node pass and patched_fraction steps from it:
+    # the same bits at every node
+    assert np.array_equal(sweep.column("patched_fraction"), patched_fraction(s, nodes))
+    assert np.array_equal(sweep.column("exploitable_fraction"), exploitable_fraction(s, nodes))
 
 
 def test_exploit_curve_clamped_beyond_peak():
